@@ -24,13 +24,13 @@
 //! | Algorithm 3 | Here |
 //! |---|---|
 //! | input: ROBDD of the structure function under a defense-first order | [`compile`] called from [`bdd_bu_report`]; order from [`DefenseFirstOrder`] |
-//! | traversal "for `w` in reverse topological order" | the `reachable_topological` sweep in `Run::front` over *tagged* refs (ascending arena indices are children-first; a node reached under both complement polarities is visited once per polarity; no recursion) |
-//! | lines 2–5: terminal fronts (goal terminal depends on the root agent) | the `is_terminal` arm of `Run::front`. The paper reads two terminal nodes; the complement-edge kernel stores one, and its two polarities (`Bdd::TRUE` plain, `Bdd::FALSE` tagged) *are* the two terminals |
-//! | lines 6–9: attack-level nodes — singleton fronts `{(1⊗_D, u)}` | the else-arm of `Run::front`, stored as bare scalars (`NodeFront::Scalar`, no allocation); `Bdd::low`/`Bdd::high` return tag-adjusted cofactor *functions*, so complement edges are invisible to the recurrence |
-//! | lines 11–14: defense-level nodes — `min_⊑(P₀ ∪ shift(P₁))` | the `is_defense_level` arm; `ParetoFront::merge_shifted` fuses the `β_D ⊗_D ·` shift, the union and the reduction into one linear sweep |
-//! | line 15: return the root's front | the final `match` of `Run::front` |
+//! | traversal "for `w` in reverse topological order" | the loop of `propagate` over the root's cone (`BddRead::cone`): *tagged* refs, each listed after both cofactors with their positions, so fronts live in a position-indexed vector; a node reached under both complement polarities is visited once per polarity; the walk is O(\|W\|) whatever the arena holds; no recursion |
+//! | lines 2–5: terminal fronts (goal terminal depends on the root agent) | the `is_terminal` arm of `propagate`. The paper reads two terminal nodes; the complement-edge kernel stores one, and its two polarities (`Bdd::TRUE` plain, `Bdd::FALSE` tagged) *are* the two terminals |
+//! | lines 6–9: attack-level nodes — singleton fronts `{(1⊗_D, u)}` | the else-arm of `node_step`, stored as bare scalars (`NodeFront::Scalar`, no allocation); `Bdd::low`/`Bdd::high` return tag-adjusted cofactor *functions*, so complement edges are invisible to the recurrence |
+//! | lines 11–14: defense-level nodes — `min_⊑(P₀ ∪ shift(P₁))` | the `is_defense_level` arm of `node_step`; `ParetoFront::merge_shifted` fuses the `β_D ⊗_D ·` shift, the union and the reduction into one linear sweep |
+//! | line 15: return the root's front | the final `match` of `propagate` (the root is the cone's last node) |
 
-use adt_bdd::{Bdd, BddRead, Level, NodeRef};
+use adt_bdd::{Bdd, BddRead, Cone, Level, NodeRef};
 use adt_core::{Agent, AttributeDomain, AugmentedAdt, ParetoFront};
 
 use crate::bdd_compile::{compile, DefenseFirstOrder};
@@ -161,9 +161,15 @@ where
 
 /// The front-propagation half of Algorithm 3, decoupled from compilation:
 /// runs the terminal-to-root sweep over an already-compiled diagram and
-/// returns the full report. `bdd_nodes` falls out of the same reachability
-/// sweep the propagation walks (`|W|` = the reachable set's size), so no
-/// separate `node_count` pass runs.
+/// returns the full report. `bdd_nodes` falls out of the same cone walk the
+/// propagation follows (`|W|` = the cone's length), so no separate
+/// `node_count` pass runs.
+///
+/// The sweep is a loop over the root's [cone](BddRead::cone): fronts live
+/// in a vector indexed by cone position, and each node reads its
+/// cofactors' fronts at the positions the walk recorded — no per-node
+/// lookup, and nothing sized to the arena, so a long-lived manager pays
+/// O(|W|) per query however much garbage and foreign diagrams it holds.
 ///
 /// Standalone so the [`AnalysisEngine`](crate::engine::AnalysisEngine) can
 /// compile into its long-lived, GC-managed manager and still share this
@@ -184,21 +190,40 @@ where
     DD: AttributeDomain,
     DA: AttributeDomain,
 {
-    let reachable = bdd.reachable_topological(root);
-    let mut run = Run {
-        t,
-        bdd,
-        order,
-        root_agent: t.adt().root_agent(),
-        // Two memo slots per arena index: one per complement polarity.
-        memo: Scratch::for_query(2 * (root.index() + 1), reachable.len()),
-        max_width: 0,
+    let cone = bdd.cone(root);
+    let root_agent = t.adt().root_agent();
+    let mut fronts: Vec<NodeFront<DD::Value, DA::Value>> = Vec::with_capacity(cone.nodes().len());
+    let mut max_width = 0;
+    for n in cone.nodes() {
+        // Terminals (lines 2–5 of Algorithm 3). The paper's pseudocode
+        // reads two terminal nodes; the complement-edge kernel stores one,
+        // and the two "terminals" here are its two polarities —
+        // `Bdd::TRUE` the plain ref, `Bdd::FALSE` the tagged one — so the
+        // goal test is a tagged-ref comparison, not a node lookup. Which
+        // polarity is the attacker's goal depends on the root agent.
+        let front = if n.node.is_terminal() {
+            terminal_front(t, root_agent, n.node)
+        } else {
+            node_step(
+                t,
+                order,
+                n.level,
+                &fronts[n.low as usize],
+                &fronts[n.high as usize],
+                &mut max_width,
+            )
+        };
+        fronts.push(front);
+    }
+    // The root is the cone's last node (line 15 of Algorithm 3).
+    let front = match fronts.pop().expect("a cone holds its root") {
+        NodeFront::Front(front) => front,
+        NodeFront::Scalar(u) => ParetoFront::singleton((t.defender_domain().one(), u)),
     };
-    let front = run.front(root, &reachable);
     BddBuReport {
         front,
-        bdd_nodes: reachable.len(),
-        max_front_width: run.max_width,
+        bdd_nodes: cone.nodes().len(),
+        max_front_width: max_width,
     }
 }
 
@@ -298,127 +323,6 @@ where
     }
 }
 
-/// The per-query memo of node fronts, keyed by *tagged* ref.
-///
-/// Under complement edges an arena node stands for two functions — itself
-/// and its negation — and the propagation may encounter both (a node
-/// reached through an odd and an even number of complemented edges), so
-/// the memo key is the full tagged ref: two slots per index, polarity in
-/// the low bit.
-///
-/// The one-shot path compiles into a fresh manager, so the arena *is* the
-/// working set and a dense `Vec` — one bounds check per probe, no hashing
-/// — is the PR-1 hot-path choice. Under a long-lived
-/// [`AnalysisEngine`](crate::engine::AnalysisEngine) the arena additionally
-/// holds garbage and other queries' survivors, and zeroing an arena-sized
-/// vector of fat `Option`s per query can dwarf the propagation itself; once
-/// the (doubled) arena span exceeds 4× the query's reachable set, the memo
-/// switches to a `HashMap` keyed by the same tagged key, whose cost scales
-/// with the query instead of the arena.
-enum Scratch<VD, VA> {
-    Dense(Vec<Option<NodeFront<VD, VA>>>),
-    Sparse(std::collections::HashMap<u32, NodeFront<VD, VA>>),
-}
-
-impl<VD, VA> Scratch<VD, VA> {
-    /// The memo key of a tagged ref: index doubled, polarity in bit 0.
-    fn key(node: NodeRef) -> u32 {
-        (node.index() as u32) << 1 | u32::from(node.is_complemented())
-    }
-
-    fn for_query(arena_span: usize, reachable: usize) -> Self {
-        if arena_span <= 4 * reachable {
-            Scratch::Dense((0..arena_span).map(|_| None).collect())
-        } else {
-            Scratch::Sparse(std::collections::HashMap::with_capacity(reachable))
-        }
-    }
-
-    fn get(&self, node: NodeRef) -> Option<&NodeFront<VD, VA>> {
-        match self {
-            Scratch::Dense(slots) => slots[Self::key(node) as usize].as_ref(),
-            Scratch::Sparse(map) => map.get(&Self::key(node)),
-        }
-    }
-
-    fn set(&mut self, node: NodeRef, front: NodeFront<VD, VA>) {
-        match self {
-            Scratch::Dense(slots) => slots[Self::key(node) as usize] = Some(front),
-            Scratch::Sparse(map) => {
-                map.insert(Self::key(node), front);
-            }
-        }
-    }
-
-    fn take(&mut self, node: NodeRef) -> Option<NodeFront<VD, VA>> {
-        match self {
-            Scratch::Dense(slots) => slots[Self::key(node) as usize].take(),
-            Scratch::Sparse(map) => map.remove(&Self::key(node)),
-        }
-    }
-}
-
-struct Run<'a, B: BddRead + ?Sized, DD: AttributeDomain, DA: AttributeDomain> {
-    t: &'a AugmentedAdt<DD, DA>,
-    bdd: &'a B,
-    order: &'a DefenseFirstOrder,
-    root_agent: Agent,
-    memo: Scratch<DD::Value, DA::Value>,
-    max_width: usize,
-}
-
-impl<B: BddRead + ?Sized, DD: AttributeDomain, DA: AttributeDomain> Run<'_, B, DD, DA> {
-    /// Propagates fronts from the terminals to `root` in one ascending
-    /// (= topological, children-first) sweep over the reachable arena
-    /// indices — no recursion, so arbitrarily deep diagrams are fine, and
-    /// each node's front is computed exactly once.
-    ///
-    /// Attack-level nodes (the bulk of a defense-first diagram) exchange
-    /// plain semiring scalars; fronts materialize only at and above the
-    /// defense boundary.
-    fn front(&mut self, root: NodeRef, reachable: &[NodeRef]) -> Front<DD, DA> {
-        for &w in reachable {
-            // Terminals (lines 2–5 of Algorithm 3). The paper's pseudocode
-            // reads two terminal nodes; the complement-edge kernel stores
-            // one, and the two "terminals" here are its two polarities —
-            // `Bdd::TRUE` the plain ref, `Bdd::FALSE` the tagged one — so
-            // the goal test is a tagged-ref comparison, not a node lookup.
-            // Which polarity is the attacker's goal depends on the root
-            // agent.
-            if w.is_terminal() {
-                self.memo.set(w, terminal_front(self.t, self.root_agent, w));
-                continue;
-            }
-            let level = self.bdd.level(w);
-            let low = self.memo.get(self.bdd.low(w)).expect("child before parent");
-            let high = self
-                .memo
-                .get(self.bdd.high(w))
-                .expect("child before parent");
-            let result = node_step(self.t, self.order, level, low, high, &mut self.max_width);
-            self.memo.set(w, result);
-        }
-        match self.memo.take(root).expect("root front computed") {
-            NodeFront::Front(front) => front,
-            NodeFront::Scalar(u) => ParetoFront::singleton((self.t.defender_domain().one(), u)),
-        }
-    }
-}
-
-/// Retained node fronts keyed by the same tagged-ref key as [`Scratch`]
-/// (`index << 1 | polarity`) — the *carry-over* form of a session's memo,
-/// used only while rebuilding a [`SessionSweep`] across a structural edit.
-///
-/// Always sparse: a session outlives many queries and the arena may hold
-/// other roots' survivors, so an arena-spanning dense vector would be paid
-/// on every rebuild.
-pub(crate) type FrontMemo<VD, VA> = std::collections::HashMap<u32, NodeFront<VD, VA>>;
-
-/// The tagged-ref memo key shared by [`Scratch`] and [`FrontMemo`].
-fn memo_key(node: NodeRef) -> u32 {
-    Scratch::<(), ()>::key(node)
-}
-
 /// What one incremental sweep did: the regular report plus the reuse split.
 pub(crate) struct IncrementalPropagation<VD, VA> {
     pub report: BddBuReport<VD, VA>,
@@ -429,53 +333,36 @@ pub(crate) struct IncrementalPropagation<VD, VA> {
     pub reused: usize,
 }
 
-/// One node of a session's cached sweep: its tagged ref, its level, and
-/// the *positions* (not refs) of its cofactors within the same sweep —
-/// children-first order, so position `i`'s cofactors always sit at
-/// positions `< i`. Terminals carry [`NO_CHILD`] sentinels.
-#[derive(Debug, Clone, Copy)]
-struct SweepNode {
-    node: NodeRef,
-    level: Level,
-    low: u32,
-    high: u32,
-}
-
-/// Cofactor-position sentinel of terminal sweep nodes.
-const NO_CHILD: u32 = u32::MAX;
-
 /// The persistent propagation state of an
 /// [`IncrementalSession`](crate::incremental::IncrementalSession): the
-/// children-first traversal of the current diagram *and* every node's
-/// front, as two parallel position-indexed arrays.
+/// [cone](BddRead::cone) of the current diagram *and* every node's front,
+/// indexed by the same cone positions.
 ///
 /// This is what makes value edits cheap. The diagram is untouched by a
-/// value edit, so the traversal cached at the last (re)build is still
-/// exact — [`SessionSweep::repropagate`] walks the arrays once, flags the
-/// dirty cone through precomputed cofactor positions, and recomputes only
+/// value edit, so the cone walked at the last (re)build is still exact —
+/// [`SessionSweep::repropagate`] walks the arrays once, flags the dirty
+/// cone through the recorded cofactor positions, and recomputes only
 /// flagged fronts in place: no manager reads, no hashing, no allocation
 /// beyond one flag vector. Structural edits call
-/// [`SessionSweep::rebuild`], which re-traverses the new root and carries
-/// every still-valid front over from the previous sweep (exported as a
-/// [`FrontMemo`]); a carried entry is valid iff no level of its cone
-/// changed meaning *and* its cofactors were carried too, which keeps the
-/// retained set closed under children — exactly what the children-first
-/// recomputation of the remainder requires.
+/// [`SessionSweep::rebuild`], which walks the new root's cone and carries
+/// every still-valid front over from the previous sweep, found through the
+/// previous cone's position table; a carried entry is valid iff no level
+/// of its cone changed meaning *and* its cofactors were carried too, which
+/// keeps the retained set closed under children — exactly what the
+/// children-first recomputation of the remainder requires. Both paths cost
+/// O(|W|), whatever else the engine's arena holds.
 #[derive(Debug)]
 pub(crate) struct SessionSweep<VD, VA> {
-    nodes: Vec<SweepNode>,
+    /// The diagram's cone; its last node is the root.
+    cone: Cone,
     fronts: Vec<NodeFront<VD, VA>>,
-    /// Position of the root's front (the last position in practice, but
-    /// recorded rather than assumed).
-    root_pos: usize,
 }
 
 impl<VD, VA> Default for SessionSweep<VD, VA> {
     fn default() -> Self {
         SessionSweep {
-            nodes: Vec::new(),
+            cone: Cone::default(),
             fronts: Vec::new(),
-            root_pos: 0,
         }
     }
 }
@@ -487,17 +374,7 @@ where
 {
     /// `|W|` of the cached diagram.
     pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Consumes the sweep into its keyed-front form, the carry-over input
-    /// of the next [`SessionSweep::rebuild`].
-    pub(crate) fn export(self) -> FrontMemo<VD, VA> {
-        self.nodes
-            .iter()
-            .zip(self.fronts)
-            .map(|(n, front)| (memo_key(n.node), front))
-            .collect()
+        self.fronts.len()
     }
 
     /// Clones out the root's front, widening scalars into singletons.
@@ -506,7 +383,7 @@ where
         DD: AttributeDomain<Value = VD>,
         DA: AttributeDomain<Value = VA>,
     {
-        match &self.fronts[self.root_pos] {
+        match self.fronts.last().expect("a cone holds its root") {
             NodeFront::Front(front) => front.clone(),
             NodeFront::Scalar(u) => ParetoFront::singleton((t.defender_domain().one(), u.clone())),
         }
@@ -519,14 +396,14 @@ where
     /// A previous front is carried iff its node is reachable under the
     /// same tagged ref, its level is not dirty, and both cofactors were
     /// carried — the closure under children that lets the recomputed
-    /// remainder find every input it needs. Passing an empty `previous`
-    /// makes this the plain full propagation of Algorithm 3.
+    /// remainder find every input it needs. Passing an empty (default)
+    /// `previous` makes this the plain full propagation of Algorithm 3.
     pub(crate) fn rebuild<B, DD, DA>(
         t: &AugmentedAdt<DD, DA>,
         order: &DefenseFirstOrder,
         bdd: &B,
         root: NodeRef,
-        mut previous: FrontMemo<VD, VA>,
+        previous: Self,
         mut is_dirty_level: impl FnMut(Level) -> bool,
     ) -> (Self, IncrementalPropagation<VD, VA>)
     where
@@ -534,43 +411,29 @@ where
         DD: AttributeDomain<Value = VD>,
         DA: AttributeDomain<Value = VA>,
     {
-        let reachable = bdd.reachable_topological(root);
-        let mut pos = std::collections::HashMap::<u32, u32>::with_capacity(reachable.len());
-        let mut nodes = Vec::with_capacity(reachable.len());
-        for (i, &w) in reachable.iter().enumerate() {
-            pos.insert(memo_key(w), i as u32);
-            nodes.push(if w.is_terminal() {
-                SweepNode {
-                    node: w,
-                    level: 0,
-                    low: NO_CHILD,
-                    high: NO_CHILD,
-                }
-            } else {
-                SweepNode {
-                    node: w,
-                    level: bdd.level(w),
-                    low: pos[&memo_key(bdd.low(w))],
-                    high: pos[&memo_key(bdd.high(w))],
-                }
-            });
-        }
-        let root_pos = pos[&memo_key(root)] as usize;
+        let cone = bdd.cone(root);
+        let nodes = cone.nodes();
+        let mut previous_fronts: Vec<Option<NodeFront<VD, VA>>> =
+            previous.fronts.into_iter().map(Some).collect();
         let root_agent = t.adt().root_agent();
         let mut fronts = Vec::with_capacity(nodes.len());
         let mut carried = vec![false; nodes.len()];
         let mut recomputed = 0usize;
         let mut max_width = 0usize;
         for (i, n) in nodes.iter().enumerate() {
-            let key = memo_key(n.node);
-            let keep = previous.contains_key(&key)
-                && (n.node.is_terminal()
+            let kept = previous.cone.position(n.node).filter(|_| {
+                n.node.is_terminal()
                     || (!is_dirty_level(n.level)
                         && carried[n.low as usize]
-                        && carried[n.high as usize]));
-            if keep {
+                        && carried[n.high as usize])
+            });
+            if let Some(old) = kept {
                 carried[i] = true;
-                fronts.push(previous.remove(&key).expect("checked present"));
+                fronts.push(
+                    previous_fronts[old]
+                        .take()
+                        .expect("a cone lists each ref once"),
+                );
             } else {
                 recomputed += 1;
                 fronts.push(if n.node.is_terminal() {
@@ -588,11 +451,7 @@ where
             }
         }
         let reused = nodes.len() - recomputed;
-        let sweep = SessionSweep {
-            nodes,
-            fronts,
-            root_pos,
-        };
+        let sweep = SessionSweep { cone, fronts };
         let front = sweep.root_front(t);
         max_width = max_width.max(front.len());
         let prop = IncrementalPropagation {
@@ -626,11 +485,11 @@ where
         DD: AttributeDomain<Value = VD>,
         DA: AttributeDomain<Value = VA>,
     {
-        let mut dirty = vec![false; self.nodes.len()];
+        let len = self.len();
+        let mut dirty = vec![false; len];
         let mut recomputed = 0usize;
         let mut max_width = 0usize;
-        for i in 0..self.nodes.len() {
-            let n = self.nodes[i];
+        for (i, n) in self.cone.nodes().iter().enumerate() {
             if n.node.is_terminal() {
                 continue;
             }
@@ -654,11 +513,11 @@ where
         IncrementalPropagation {
             report: BddBuReport {
                 front,
-                bdd_nodes: self.nodes.len(),
+                bdd_nodes: len,
                 max_front_width: max_width,
             },
             recomputed,
-            reused: self.nodes.len() - recomputed,
+            reused: len - recomputed,
         }
     }
 }

@@ -65,7 +65,7 @@ use std::collections::HashMap;
 use adt_bdd::{Bdd, Level, NodeRef, RootHandle};
 use adt_core::{AttributeDomain, AugmentedAdt, Gate, NodeId, ParetoFront};
 
-use crate::bdd_bu::{FrontMemo, IncrementalPropagation, SessionSweep};
+use crate::bdd_bu::{IncrementalPropagation, SessionSweep};
 use crate::bdd_compile::{compile_into_refs, compile_node, DefenseFirstOrder};
 use crate::engine::AnalysisEngine;
 use crate::error::AnalysisError;
@@ -204,8 +204,14 @@ where
         let refs = compile_into_refs(self.kernel_mut(), t.adt(), &order);
         let root = refs[t.adt().root().index()];
         let handle = self.kernel_mut().protect(root);
-        let (sweep, prop) =
-            SessionSweep::rebuild(&t, &order, self.kernel(), root, FrontMemo::new(), |_| false);
+        let (sweep, prop) = SessionSweep::rebuild(
+            &t,
+            &order,
+            self.kernel(),
+            root,
+            SessionSweep::default(),
+            |_| false,
+        );
         let collections_seen = self.gc_stats().collections;
         IncrementalSession {
             t,
@@ -387,9 +393,9 @@ where
         bdd.unprotect(self.handle);
         self.handle = bdd.protect(root);
         let previous = if full_fallback {
-            FrontMemo::new()
+            SessionSweep::default()
         } else {
-            std::mem::take(&mut self.sweep).export()
+            std::mem::take(&mut self.sweep)
         };
         let (sweep, prop) = SessionSweep::rebuild(
             &self.t,
@@ -738,22 +744,27 @@ mod tests {
         session.close(&mut engine);
     }
 
-    #[test]
-    fn replace_subtree_matches_cold_recompile() {
-        let mut engine = Engine::new();
-        let mut session = engine.incremental_session(catalog::money_theft());
-        // Replace the PIN-learning subtree with a two-step variant.
+    /// A two-step variant of the case study's PIN-learning subtree.
+    fn learn_pin_v2() -> AugmentedAdt<MinCost, MinCost> {
         let mut b = AdtBuilder::new();
         let phish = b.attack("shoulder_surf").unwrap();
         let extort = b.attack("extort_pin").unwrap();
         let gate = b.and("learn_pin_v2", [phish, extort]).unwrap();
-        let replacement = AugmentedAdt::builder(b.build(gate).unwrap(), MinCost, MinCost)
+        AugmentedAdt::builder(b.build(gate).unwrap(), MinCost, MinCost)
             .attack_value("shoulder_surf", 15u64)
             .unwrap()
             .attack_value("extort_pin", 40u64)
             .unwrap()
             .finish()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn replace_subtree_matches_cold_recompile() {
+        let mut engine = Engine::new();
+        let mut session = engine.incremental_session(catalog::money_theft());
+        // Replace the PIN-learning subtree with a two-step variant.
+        let replacement = learn_pin_v2();
         let report = session
             .replace_subtree(&mut engine, "learn_pin", &replacement)
             .unwrap();
@@ -763,6 +774,65 @@ mod tests {
         let (cold, _) = cold.with_replaced_subtree(at, &replacement).unwrap();
         assert_eq!(&fresh(&cold), session.front());
         session.close(&mut engine);
+    }
+
+    /// With collection off, a long-lived engine's arena keeps every
+    /// earlier query's diagram, so a late query's root index sits far
+    /// above its `|W|`. Neither the one-shot report nor a session's
+    /// structural edits may notice: both must match a fresh engine's.
+    #[test]
+    fn high_root_index_reports_match_a_fresh_engine() {
+        let mut crowded = Engine::with_gc_threshold(usize::MAX);
+        for n in 1..=12 {
+            let t = catalog::fig4(n);
+            crowded.bdd_bu_report(&t, &DefenseFirstOrder::declaration(t.adt()));
+        }
+        let t = catalog::money_theft();
+        let order = DefenseFirstOrder::declaration(t.adt());
+        let report = crowded.bdd_bu_report(&t, &order);
+        let expected = Engine::with_gc_threshold(usize::MAX).bdd_bu_report(&t, &order);
+        assert_eq!(report.front, expected.front);
+        assert_eq!(report.bdd_nodes, expected.bdd_nodes);
+        assert_eq!(report.max_front_width, expected.max_front_width);
+
+        let mut fresh = Engine::with_gc_threshold(usize::MAX);
+        let mut late = crowded.incremental_session(t.clone());
+        let mut early = fresh.incremental_session(t);
+        let root = crowded.kernel().resolve(late.handle);
+        assert!(
+            root.index() > 10 * late.bdd_nodes(),
+            "root index {} is not far above |W| = {}",
+            root.index(),
+            late.bdd_nodes()
+        );
+        let replacement = learn_pin_v2();
+        let edits = [
+            late.set_gate_kind(&mut crowded, "via_atm", Gate::Or)
+                .unwrap(),
+            late.replace_subtree(&mut crowded, "learn_pin", &replacement)
+                .unwrap(),
+        ];
+        let expected = [
+            early
+                .set_gate_kind(&mut fresh, "via_atm", Gate::Or)
+                .unwrap(),
+            early
+                .replace_subtree(&mut fresh, "learn_pin", &replacement)
+                .unwrap(),
+        ];
+        for (edit, expected) in edits.iter().zip(&expected) {
+            assert!(!edit.full_fallback);
+            assert_eq!(edit.front, expected.front);
+            assert_eq!(edit.bdd_nodes, expected.bdd_nodes);
+            assert_eq!(edit.max_front_width, expected.max_front_width);
+            assert_eq!(
+                (edit.dirty_nodes, edit.reused),
+                (expected.dirty_nodes, expected.reused)
+            );
+            assert_eq!(edit.dirty_nodes + edit.reused, edit.bdd_nodes);
+        }
+        late.close(&mut crowded);
+        early.close(&mut fresh);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //!
 //! Determinism: the kernel is canonical (one [`NodeRef`] per function
 //! regardless of which thread consed it first), the propagation sweep of
-//! [`crate::bdd_bu`](mod@crate::bdd_bu) is value-space, and
-//! [`SharedBdd::reachable_topological`] visits tagged refs in the same
-//! children-first order as the sequential manager — so every front computed
-//! here is byte-identical to the sequential engine's, at any thread count.
-//! The workspace's differential tests pin exactly that.
+//! [`crate::bdd_bu`](mod@crate::bdd_bu) is value-space, and the cone walk
+//! it follows ([`adt_bdd::BddRead::cone`]) is one implementation for both
+//! kernels, exploring low cofactors before high ones — so every front
+//! computed here is byte-identical to the sequential engine's, at any
+//! thread count. The workspace's differential tests pin exactly that.
 //!
 //! The memory-ordering and quiescence arguments live in `docs/PARALLEL.md`
 //! at the workspace root.

@@ -68,6 +68,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cone;
 pub mod control;
 mod expr;
 mod manager;
@@ -78,6 +79,7 @@ mod shared;
 /// A variable's position in the global order (0 = tested first).
 pub type Level = u32;
 
+pub use cone::{Cone, ConeNode};
 pub use expr::Bexpr;
 pub use manager::{Bdd, BddRead, GcStats, NodeRef, RootHandle, SiftOutcome};
 pub use reorder::force_order;

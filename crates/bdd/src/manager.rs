@@ -65,10 +65,13 @@
 //! * **Iterative walks** — `ite`, `sat_count` and `restrict` use explicit
 //!   stacks or index sweeps instead of recursion, so the DAG-shaped
 //!   workloads from `adt-gen` (whose diagrams can be thousands of levels
-//!   deep) cannot overflow the call stack. Sweeps run over *indices*;
-//!   where a result depends on the polarity a node is reached with
-//!   (`sat_count`, [`Bdd::reachable_topological`]), the complement is
-//!   derived per tagged ref, not recomputed per node.
+//!   deep) cannot overflow the call stack. Index sweeps cover every index
+//!   below the root; the walk bottom-up consumers use,
+//!   [`BddRead::cone`], visits only the root's cone instead, so its cost
+//!   does not grow with the garbage and foreign diagrams of a long-lived
+//!   arena. Where a result depends on the polarity a node is reached with
+//!   (`sat_count`, the cone), the complement is derived per tagged ref,
+//!   not recomputed per node.
 //!
 //! * **Mark-and-compact GC** — long-lived managers (the `AnalysisEngine`
 //!   in `adt-analysis` reuses one manager across queries) reclaim garbage
@@ -85,6 +88,7 @@
 
 use std::fmt::Write as _;
 
+use crate::cone::Cone;
 use crate::expr::Bexpr;
 use crate::Level;
 
@@ -1075,64 +1079,21 @@ impl Bdd {
     }
 
     /// The distinct sub-*functions* reachable from `f` (terminal polarities
-    /// included), in ascending index order — which is a topological order:
-    /// every ref appears after both of its cofactors. A node reached under
-    /// both polarities contributes two refs (its plain ref first).
+    /// included), each after both of its cofactors: the refs of
+    /// [`BddRead::cone`], in the walk's order. A node reached under both
+    /// polarities contributes two refs.
     ///
-    /// This is the iteration scheme `BDDBU` uses to propagate Pareto
-    /// fronts without recursion; the length of the result is the paper's
-    /// `|W|` — the number of memo entries the propagation fills.
+    /// The length of the result is the paper's `|W|` — the number of
+    /// fronts `BDDBU` computes.
     pub fn reachable_topological(&self, f: NodeRef) -> Vec<NodeRef> {
-        if f.is_terminal() {
-            return vec![f];
-        }
-        let top = f.index();
-        // Per-index reachability, one flag per polarity.
-        let mut plain = vec![false; top + 1];
-        let mut tagged = vec![false; top + 1];
-        if f.is_complemented() {
-            tagged[top] = true;
-        } else {
-            plain[top] = true;
-        }
-        for index in (1..=top).rev() {
-            let node = self.nodes[index];
-            for complemented in [false, true] {
-                let seen = if complemented {
-                    tagged[index]
-                } else {
-                    plain[index]
-                };
-                if !seen {
-                    continue;
-                }
-                for child in [node.low, node.high] {
-                    let c = child.complement_if(complemented);
-                    if c.is_complemented() {
-                        tagged[c.index()] = true;
-                    } else {
-                        plain[c.index()] = true;
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for index in 0..=top {
-            if plain[index] {
-                out.push(NodeRef(index as u32));
-            }
-            if tagged[index] {
-                out.push(NodeRef(index as u32 | TAG));
-            }
-        }
-        out
+        self.cone(f).nodes().iter().map(|n| n.node).collect()
     }
 
     /// Number of arena nodes reachable from `f`, the terminal included —
     /// the *memory* footprint of the diagram. A function and its
     /// complement share every node, so this is polarity-blind (the
-    /// propagation workload `|W|` is [`Bdd::reachable_topological`]'s
-    /// length instead).
+    /// propagation workload `|W|` is the length of [`BddRead::cone`]
+    /// instead).
     pub fn node_count(&self, f: NodeRef) -> usize {
         if f.is_terminal() {
             return 1;
@@ -1978,9 +1939,8 @@ impl Bdd {
 /// propagation above all — are generic over this trait, so the same
 /// monomorphized sweep runs against either kernel. The contract mirrors
 /// the sequential accessors: `low`/`high` speak *functions* (complement
-/// tags propagate onto cofactors), and [`BddRead::reachable_topological`]
-/// lists every reachable `(index, polarity)` pair ascending by index, so
-/// children always precede parents.
+/// tags propagate onto cofactors), and the provided [`BddRead::cone`]
+/// walk is written once, over those accessors, for every kernel.
 pub trait BddRead {
     /// The branching level of a ref's node ([`Level::MAX`] for terminals).
     fn level(&self, f: NodeRef) -> Level;
@@ -1988,9 +1948,14 @@ pub trait BddRead {
     fn low(&self, f: NodeRef) -> NodeRef;
     /// The high (`1`-labeled) cofactor of a nonterminal function.
     fn high(&self, f: NodeRef) -> NodeRef;
-    /// Every reachable tagged ref of `f`'s diagram in ascending index
-    /// order (children before parents), both polarities listed separately.
-    fn reachable_topological(&self, f: NodeRef) -> Vec<NodeRef>;
+
+    /// The cone of `f`: every tagged ref reachable from it, children
+    /// first, each with its cofactors' positions (see [`Cone`]). Costs
+    /// O(|cone|) time and memory however large the arena around it is —
+    /// nothing is sized to the arena.
+    fn cone(&self, f: NodeRef) -> Cone {
+        Cone::walk(self, f)
+    }
 }
 
 impl BddRead for Bdd {
@@ -2004,10 +1969,6 @@ impl BddRead for Bdd {
 
     fn high(&self, f: NodeRef) -> NodeRef {
         Bdd::high(self, f)
-    }
-
-    fn reachable_topological(&self, f: NodeRef) -> Vec<NodeRef> {
-        Bdd::reachable_topological(self, f)
     }
 }
 

@@ -19,7 +19,7 @@
 //! before parents, levels inside the declared variable count) rejects
 //! hostile input with `None` before any node is built.
 
-use crate::manager::{Bdd, NodeRef};
+use crate::manager::{Bdd, BddRead, NodeRef};
 use crate::Level;
 
 /// An edge of a [`DiagramDump`]: bit 31 is the complement tag; the low 31
@@ -102,16 +102,18 @@ impl Bdd {
     /// the arena's construction invariant — with tags preserved verbatim
     /// on every edge, the root included.
     pub fn export_dump(&self, f: NodeRef) -> DiagramDump {
-        // Reachable arena indices, ascending, terminal excluded.
-        // `reachable_topological` emits refs per polarity in ascending
-        // index order, so deduping adjacent indices yields the index set.
-        let mut indices: Vec<u32> = Vec::new();
-        for r in self.reachable_topological(f) {
-            let index = r.index() as u32;
-            if index != 0 && indices.last() != Some(&index) {
-                indices.push(index);
-            }
-        }
+        // Reachable arena indices, ascending, terminal excluded. The cone
+        // lists refs per polarity in walk order; sorting its O(|W|)
+        // indices restores arena order, which fixes the dump's bytes.
+        let mut indices: Vec<u32> = self
+            .cone(f)
+            .nodes()
+            .iter()
+            .filter(|n| !n.node.is_terminal())
+            .map(|n| n.node.index() as u32)
+            .collect();
+        indices.sort_unstable();
+        indices.dedup();
         // Arena index -> position in `indices` (dense local index).
         let encode = |edge: NodeRef| -> DumpRef {
             let plain = if edge.is_terminal() {

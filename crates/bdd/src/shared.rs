@@ -738,35 +738,6 @@ impl SharedBdd {
         }
         Ok(())
     }
-
-    /// Every reachable tagged ref of `f`'s diagram, ascending by index
-    /// (children before parents), both polarities listed separately —
-    /// the same contract as [`Bdd::reachable_topological`].
-    pub fn reachable_topological(&self, f: NodeRef) -> Vec<NodeRef> {
-        if f.is_terminal() {
-            return vec![f];
-        }
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut stack = vec![f.raw()];
-        while let Some(raw) = stack.pop() {
-            if !seen.insert(raw) {
-                continue;
-            }
-            let r = NodeRef::from_raw(raw);
-            if r.is_terminal() {
-                continue;
-            }
-            let node = self.node(r);
-            let c = r.is_complemented();
-            stack.push(node.low.complement_if(c).raw());
-            stack.push(node.high.complement_if(c).raw());
-        }
-        let mut out: Vec<NodeRef> = seen.into_iter().map(NodeRef::from_raw).collect();
-        // Ascending index, plain polarity before tagged at equal index —
-        // byte-compatible with the sequential sweep order.
-        out.sort_unstable_by_key(|r| (r.index(), r.is_complemented()));
-        out
-    }
 }
 
 impl BddRead for SharedBdd {
@@ -780,10 +751,6 @@ impl BddRead for SharedBdd {
 
     fn high(&self, f: NodeRef) -> NodeRef {
         SharedBdd::high(self, f)
-    }
-
-    fn reachable_topological(&self, f: NodeRef) -> Vec<NodeRef> {
-        SharedBdd::reachable_topological(self, f)
     }
 }
 
@@ -1293,13 +1260,6 @@ impl BddRead for BddManager {
         match self {
             BddManager::Sequential(bdd) => bdd.high(f),
             BddManager::Shared { bdd, .. } => bdd.high(f),
-        }
-    }
-
-    fn reachable_topological(&self, f: NodeRef) -> Vec<NodeRef> {
-        match self {
-            BddManager::Sequential(bdd) => bdd.reachable_topological(f),
-            BddManager::Shared { bdd, .. } => bdd.reachable_topological(f),
         }
     }
 }

@@ -228,6 +228,9 @@ pub struct EngineWorker {
 /// A type-erased unit of work for one worker.
 type Task = Box<dyn FnOnce(&mut EngineWorker) + Send>;
 
+/// A completion hook of a [`WorkerPool::try_submit`] task.
+type OnDone = Box<dyn FnOnce() + Send>;
+
 /// The injector queue shared between submitters and workers.
 struct PoolShared {
     queue: Mutex<QueueState>,
@@ -238,7 +241,9 @@ struct PoolShared {
 }
 
 struct QueueState {
-    tasks: VecDeque<Task>,
+    /// Queued tasks, each with the completion hook (if any) the worker
+    /// runs once it has stopped counting the task.
+    tasks: VecDeque<(Task, Option<OnDone>)>,
     /// Tasks currently executing on a worker (popped but not finished).
     /// `tasks.len() + active` is the pool's pending count — the quantity
     /// [`WorkerPool::try_submit`]'s admission bound is checked against.
@@ -364,21 +369,29 @@ impl WorkerPool {
     /// so callers that need to observe failures must catch them inside the
     /// closure — there is no submitter to re-raise on.
     ///
+    /// `on_done` runs on the worker after the task, once the pool has
+    /// stopped counting it — whether or not the task panicked. Completion
+    /// signalled from there is ordered after the pending count drops, so
+    /// whoever observes it also observes a [`WorkerPool::pending_tasks`]
+    /// that no longer includes the task.
+    ///
     /// # Errors
     ///
-    /// [`PoolFull`] when the pending count had reached `limit`; the task
-    /// is returned to the caller untouched inside the closure it arrived
-    /// in (dropped with the `Err` if unused).
-    pub fn try_submit<F>(&self, limit: usize, task: F) -> Result<(), PoolFull>
+    /// [`PoolFull`] when the pending count had reached `limit`; neither
+    /// the task nor `on_done` runs (both are dropped with the `Err`).
+    pub fn try_submit<F, D>(&self, limit: usize, task: F, on_done: D) -> Result<(), PoolFull>
     where
         F: FnOnce(&mut EngineWorker) + Send + 'static,
+        D: FnOnce() + Send + 'static,
     {
         let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
         let pending = queue.tasks.len() + queue.active;
         if pending >= limit {
             return Err(PoolFull { pending });
         }
-        queue.tasks.push_back(Box::new(task));
+        queue
+            .tasks
+            .push_back((Box::new(task), Some(Box::new(on_done))));
         drop(queue);
         self.shared.work_ready.notify_one();
         Ok(())
@@ -433,38 +446,35 @@ impl WorkerPool {
                 let jobs = Arc::clone(&jobs);
                 let f = Arc::clone(&f);
                 let batch = Arc::clone(&batch);
-                queue
-                    .tasks
-                    .push_back(Box::new(move |ctx: &mut EngineWorker| {
-                        let start = Instant::now();
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            f(ctx, index, &jobs[index])
-                        }));
-                        match outcome {
-                            Ok(result) => {
-                                let output = JobOutput {
-                                    index,
-                                    worker: ctx.worker,
-                                    elapsed: start.elapsed(),
-                                    result,
-                                };
-                                batch.slots.lock().expect("batch slots poisoned")[index] =
-                                    Some(output);
-                            }
-                            Err(payload) => {
-                                // The engine may be mid-mutation; never let it
-                                // serve another job.
-                                ctx.engine.reset();
-                                let mut first = batch.panic.lock().expect("panic slot poisoned");
-                                first.get_or_insert(payload);
-                            }
+                let task: Task = Box::new(move |ctx: &mut EngineWorker| {
+                    let start = Instant::now();
+                    let outcome =
+                        std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx, index, &jobs[index])));
+                    match outcome {
+                        Ok(result) => {
+                            let output = JobOutput {
+                                index,
+                                worker: ctx.worker,
+                                elapsed: start.elapsed(),
+                                result,
+                            };
+                            batch.slots.lock().expect("batch slots poisoned")[index] = Some(output);
                         }
-                        let mut remaining = batch.remaining.lock().expect("batch count poisoned");
-                        *remaining -= 1;
-                        if *remaining == 0 {
-                            batch.done.notify_all();
+                        Err(payload) => {
+                            // The engine may be mid-mutation; never let it
+                            // serve another job.
+                            ctx.engine.reset();
+                            let mut first = batch.panic.lock().expect("panic slot poisoned");
+                            first.get_or_insert(payload);
                         }
-                    }));
+                    }
+                    let mut remaining = batch.remaining.lock().expect("batch count poisoned");
+                    *remaining -= 1;
+                    if *remaining == 0 {
+                        batch.done.notify_all();
+                    }
+                });
+                queue.tasks.push_back((task, None));
             }
             self.shared.work_ready.notify_all();
         }
@@ -617,7 +627,7 @@ fn worker_loop(shared: &PoolShared, worker: usize, gc_threshold: usize) {
             }
         };
         match task {
-            Some(task) => {
+            Some((task, on_done)) => {
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| task(&mut ctx)));
                 if outcome.is_err() {
                     // A detached task unwound: the engine may be
@@ -626,9 +636,16 @@ fn worker_loop(shared: &PoolShared, worker: usize, gc_threshold: usize) {
                 }
                 let mut queue = shared.queue.lock().expect("pool queue poisoned");
                 queue.active -= 1;
-                if queue.tasks.is_empty() && queue.active == 0 {
-                    drop(queue);
+                let idle = queue.tasks.is_empty() && queue.active == 0;
+                drop(queue);
+                if idle {
                     shared.idle.notify_all();
+                }
+                if let Some(on_done) = on_done {
+                    // The hook never sees the engine, so a panic in it
+                    // leaves nothing half-updated; swallow it like a
+                    // detached task's.
+                    let _ = std::panic::catch_unwind(AssertUnwindSafe(on_done));
                 }
             }
             None => return,
@@ -945,7 +962,8 @@ mod tests {
             }
         };
         assert_eq!(pool.pending_tasks(), 0);
-        pool.try_submit(2, blocker).expect("first admission fits");
+        pool.try_submit(2, blocker, || ())
+            .expect("first admission fits");
         let done = Arc::new(AtomicUsize::new(0));
         let bump = {
             let done = Arc::clone(&done);
@@ -953,10 +971,10 @@ mod tests {
                 done.fetch_add(1, Ordering::SeqCst);
             }
         };
-        pool.try_submit(2, bump.clone())
+        pool.try_submit(2, bump.clone(), || ())
             .expect("second admission fits");
         // Pending is now 2 (one executing, one queued): the bound rejects.
-        let rejected = pool.try_submit(2, bump.clone());
+        let rejected = pool.try_submit(2, bump.clone(), || ());
         assert_eq!(rejected, Err(PoolFull { pending: 2 }));
         assert_eq!(pool.pending_tasks(), 2);
         release();
@@ -964,9 +982,27 @@ mod tests {
         assert_eq!(pool.pending_tasks(), 0);
         assert_eq!(done.load(Ordering::SeqCst), 1, "rejected task never ran");
         // After the drain the bound admits again.
-        pool.try_submit(2, bump).expect("post-drain admission");
+        pool.try_submit(2, bump, || ())
+            .expect("post-drain admission");
         pool.drain();
         assert_eq!(done.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn on_done_runs_after_the_pool_stops_counting_the_task() {
+        let pool = WorkerPool::new(1, adt_analysis::DEFAULT_GC_THRESHOLD);
+        let (done, finished) = std::sync::mpsc::channel();
+        for panics in [false, true] {
+            let done = done.clone();
+            pool.try_submit(
+                usize::MAX,
+                move |_| assert!(!panics, "detached task exploded"),
+                move || done.send(()).expect("receiver alive"),
+            )
+            .expect("admission");
+            finished.recv().expect("on_done ran");
+            assert_eq!(pool.pending_tasks(), 0, "panicking task: {panics}");
+        }
     }
 
     #[test]
@@ -987,7 +1023,7 @@ mod tests {
         )
         .collect();
         evaluate_suite_warm(&pool, jobs);
-        pool.try_submit(usize::MAX, |_| panic!("detached task exploded"))
+        pool.try_submit(usize::MAX, |_| panic!("detached task exploded"), || ())
             .expect("admission");
         pool.drain();
         let cached = pool

@@ -241,27 +241,33 @@ impl Server {
         let start = Instant::now();
         let task_writer = Arc::clone(writer);
         let tracker = Arc::clone(inflight);
-        let admitted = self.pool.try_submit(self.cfg.max_inflight, move |ctx| {
-            let order = DefenseFirstOrder::declaration(t.adt());
-            let frames = match ctx.engine.try_bdd_bu_report(&t, &order) {
-                Ok(report) => {
-                    let micros = start.elapsed().as_micros();
-                    let mut frames = result_frames(id, &report.front.to_string());
-                    frames.push(status_frame(
-                        id,
-                        report.bdd_nodes,
-                        report.max_front_width,
-                        micros,
-                    ));
-                    frames
+        // The inflight count drops in the pool's completion hook, after the
+        // pool has stopped counting the task: an `X` shutdown that waits
+        // for the count then finds the pool idle too.
+        let admitted = self.pool.try_submit(
+            self.cfg.max_inflight,
+            move |ctx| {
+                let order = DefenseFirstOrder::declaration(t.adt());
+                let frames = match ctx.engine.try_bdd_bu_report(&t, &order) {
+                    Ok(report) => {
+                        let micros = start.elapsed().as_micros();
+                        let mut frames = result_frames(id, &report.front.to_string());
+                        frames.push(status_frame(
+                            id,
+                            report.bdd_nodes,
+                            report.max_front_width,
+                            micros,
+                        ));
+                        frames
+                    }
+                    Err(e) => vec![error_frame(id, &e.to_string())],
+                };
+                for frame in &frames {
+                    write_best_effort(&task_writer, frame);
                 }
-                Err(e) => vec![error_frame(id, &e.to_string())],
-            };
-            for frame in &frames {
-                write_best_effort(&task_writer, frame);
-            }
-            finish_one(&tracker);
-        });
+            },
+            move || finish_one(&tracker),
+        );
         if let Err(PoolFull { pending }) = admitted {
             finish_one(inflight);
             write_best_effort(writer, &busy_frame(id, pending));

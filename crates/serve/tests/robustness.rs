@@ -131,13 +131,17 @@ fn full_admission_queue_answers_busy_and_recovers() {
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     {
         let gate = Arc::clone(&gate);
-        pool.try_submit(usize::MAX, move |_| {
-            let (open, opened) = &*gate;
-            let mut open = open.lock().unwrap();
-            while !*open {
-                open = opened.wait(open).unwrap();
-            }
-        })
+        pool.try_submit(
+            usize::MAX,
+            move |_| {
+                let (open, opened) = &*gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = opened.wait(open).unwrap();
+                }
+            },
+            || (),
+        )
         .expect("blocker admitted");
     }
     let server = Server::with_pool(
