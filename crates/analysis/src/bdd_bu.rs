@@ -24,13 +24,13 @@
 //! | Algorithm 3 | Here |
 //! |---|---|
 //! | input: ROBDD of the structure function under a defense-first order | [`compile`] called from [`bdd_bu_report`]; order from [`DefenseFirstOrder`] |
-//! | traversal "for `w` in reverse topological order" | the loop of `propagate` over the root's cone (`BddRead::cone`): *tagged* refs, each listed after both cofactors with their positions, so fronts live in a position-indexed vector; a node reached under both complement polarities is visited once per polarity; the walk is O(\|W\|) whatever the arena holds; no recursion |
+//! | traversal "for `w` in reverse topological order" | the loop of `propagate` over the root's cone (`Bdd::cone`): *tagged* refs, each listed after both cofactors with their positions, so fronts live in a position-indexed vector; a node reached under both complement polarities is visited once per polarity; the walk is O(\|W\|) whatever the arena holds; no recursion |
 //! | lines 2–5: terminal fronts (goal terminal depends on the root agent) | the `is_terminal` arm of `propagate`. The paper reads two terminal nodes; the complement-edge kernel stores one, and its two polarities (`Bdd::TRUE` plain, `Bdd::FALSE` tagged) *are* the two terminals |
 //! | lines 6–9: attack-level nodes — singleton fronts `{(1⊗_D, u)}` | the else-arm of `node_step`, stored as bare scalars (`NodeFront::Scalar`, no allocation); `Bdd::low`/`Bdd::high` return tag-adjusted cofactor *functions*, so complement edges are invisible to the recurrence |
 //! | lines 11–14: defense-level nodes — `min_⊑(P₀ ∪ shift(P₁))` | the `is_defense_level` arm of `node_step`; `ParetoFront::merge_shifted` fuses the `β_D ⊗_D ·` shift, the union and the reduction into one linear sweep |
 //! | line 15: return the root's front | the final `match` of `propagate` (the root is the cone's last node) |
 
-use adt_bdd::{Bdd, BddRead, Cone, Level, NodeRef};
+use adt_bdd::{Bdd, Cone, Level, NodeRef};
 use adt_core::{Agent, AttributeDomain, AugmentedAdt, ParetoFront};
 
 use crate::bdd_compile::{compile, DefenseFirstOrder};
@@ -165,28 +165,24 @@ where
 /// propagation follows (`|W|` = the cone's length), so no separate
 /// `node_count` pass runs.
 ///
-/// The sweep is a loop over the root's [cone](BddRead::cone): fronts live
+/// The sweep is a loop over the root's [cone](Bdd::cone): fronts live
 /// in a vector indexed by cone position, and each node reads its
 /// cofactors' fronts at the positions the walk recorded — no per-node
 /// lookup, and nothing sized to the arena, so a long-lived manager pays
 /// O(|W|) per query however much garbage and foreign diagrams it holds.
 ///
 /// Standalone so the [`AnalysisEngine`](crate::engine::AnalysisEngine) can
-/// compile into its long-lived, GC-managed manager and still share this
-/// exact propagation code with the one-shot [`bdd_bu_report`] path.
-///
-/// Generic over [`BddRead`], so the identical (monomorphized) sweep runs
-/// against the sequential [`Bdd`] and the concurrent
-/// [`SharedBdd`](adt_bdd::SharedBdd) — the parallel path of
-/// [`crate::parallel`] reuses this function verbatim.
-pub(crate) fn propagate<B, DD, DA>(
+/// compile into its long-lived, GC-managed manager — and the module
+/// fan-out of [`crate::parallel`] into its per-thread managers — and still
+/// share this exact propagation code with the one-shot [`bdd_bu_report`]
+/// path.
+pub(crate) fn propagate<DD, DA>(
     t: &AugmentedAdt<DD, DA>,
     order: &DefenseFirstOrder,
-    bdd: &B,
+    bdd: &Bdd,
     root: NodeRef,
 ) -> BddBuReport<DD::Value, DA::Value>
 where
-    B: BddRead + ?Sized,
     DD: AttributeDomain,
     DA: AttributeDomain,
 {
@@ -335,7 +331,7 @@ pub(crate) struct IncrementalPropagation<VD, VA> {
 
 /// The persistent propagation state of an
 /// [`IncrementalSession`](crate::incremental::IncrementalSession): the
-/// [cone](BddRead::cone) of the current diagram *and* every node's front,
+/// [cone](Bdd::cone) of the current diagram *and* every node's front,
 /// indexed by the same cone positions.
 ///
 /// This is what makes value edits cheap. The diagram is untouched by a
@@ -398,16 +394,15 @@ where
     /// carried — the closure under children that lets the recomputed
     /// remainder find every input it needs. Passing an empty (default)
     /// `previous` makes this the plain full propagation of Algorithm 3.
-    pub(crate) fn rebuild<B, DD, DA>(
+    pub(crate) fn rebuild<DD, DA>(
         t: &AugmentedAdt<DD, DA>,
         order: &DefenseFirstOrder,
-        bdd: &B,
+        bdd: &Bdd,
         root: NodeRef,
         previous: Self,
         mut is_dirty_level: impl FnMut(Level) -> bool,
     ) -> (Self, IncrementalPropagation<VD, VA>)
     where
-        B: BddRead + ?Sized,
         DD: AttributeDomain<Value = VD>,
         DA: AttributeDomain<Value = VA>,
     {

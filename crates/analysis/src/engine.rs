@@ -72,7 +72,7 @@ use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::PathBuf;
 
-use adt_bdd::{Bdd, GcStats, NodeRef, Team};
+use adt_bdd::{Bdd, GcStats, NodeRef};
 use adt_core::{Agent, AttributeDomain, AugmentedAdt, Gate};
 use adt_store::{Store, ValueCodec, KIND_DIAGRAM, KIND_FRONT};
 
@@ -81,7 +81,7 @@ use crate::bdd_compile::{compile_into, DefenseFirstOrder};
 use crate::bottom_up::{bottom_up, bu_with_leaf_fronts};
 use crate::error::AnalysisError;
 use crate::modular::{decompose, modular_core, recombine, Decomposed, ModuleAnalyzer};
-use crate::parallel::{par_bdd_bu_report, par_module_reports};
+use crate::parallel::par_module_reports;
 use crate::Front;
 
 /// Default automatic-GC threshold of a fresh engine, in arena nodes.
@@ -632,12 +632,10 @@ pub struct AnalysisEngine<DD: AttributeDomain, DA: AttributeDomain> {
     cache_capacity: usize,
     /// Monotone logical clock stamping cache touches for LRU.
     tick: u64,
-    /// Intra-query kernel threads (1 = the sequential fast path; see
+    /// Threads a [`modular`](AnalysisEngine::modular) miss may fan its
+    /// modules out over (1 = the sequential path; see
     /// [`AnalysisEngine::set_kernel_threads`]).
     kernel_threads: usize,
-    /// The work-stealing thread team, spawned once and reused across
-    /// queries. `None` exactly when `kernel_threads == 1`.
-    team: Option<Team>,
     /// The persistent second cache tier, if one is attached (see
     /// [`AnalysisEngine::open_store`]).
     store: Option<StoreTier<DD::Value, DA::Value>>,
@@ -671,34 +669,23 @@ where
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             tick: 0,
             kernel_threads: 1,
-            team: None,
             store: None,
         }
     }
 
-    /// Switches the engine's *intra-query* parallelism: cache misses of
-    /// [`bdd_bu_report`](AnalysisEngine::bdd_bu_report) compile with the
-    /// work-stealing apply on a team of `threads` workers, and
-    /// [`modular`](AnalysisEngine::modular) dispatches independent module
-    /// misses to the same team. `threads ≤ 1` (the default) restores the
-    /// sequential path — byte-identical behavior, zero thread overhead.
+    /// Switches the engine's *intra-query* parallelism: with `threads > 1`,
+    /// [`modular`](AnalysisEngine::modular) analyzes the independent
+    /// modules a query's cache lookups missed on up to `threads` threads,
+    /// each with a private single-owner manager. `threads ≤ 1` (the
+    /// default) keeps the sequential path. Every other query runs the
+    /// engine's own manager at any setting.
     ///
     /// Fronts are identical at every thread count (the kernel is
     /// canonical and propagation is value-space; the workspace pins this
-    /// differentially). Two sequential-mode features are bypassed in
-    /// parallel mode, where each miss compiles into a fresh shared
-    /// manager: dynamic reordering and cross-query node sharing — the
-    /// cross-query *front* cache serves and stores the same fronts in
-    /// both modes (see [`modular`](AnalysisEngine::modular) for the
-    /// bookkeeping-only differences in its entries).
+    /// differentially); see [`modular`](AnalysisEngine::modular) for the
+    /// bookkeeping-only differences in its cache entries.
     pub fn set_kernel_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.kernel_threads = threads;
-        if threads == 1 {
-            self.team = None;
-        } else if self.team.as_ref().map(Team::threads) != Some(threads) {
-            self.team = Some(Team::new(threads));
-        }
+        self.kernel_threads = threads.max(1);
     }
 
     /// The configured intra-query thread count (see
@@ -762,11 +749,6 @@ where
         let capacity = self.cache_capacity;
         let reorder = self.reorder_threshold();
         let threads = self.kernel_threads;
-        // Keep the already-spawned team alive across the reset — it holds
-        // no query state, and respawning OS threads per reset would make
-        // the pool's non-warm mode pay a spawn cost the sequential mode
-        // doesn't.
-        let team = self.team.take();
         // The persistent store is configuration too: a reset wipes the
         // *process* state (manager, memory cache, stats) while the on-disk
         // tier keeps serving — that asymmetry is exactly what makes
@@ -776,7 +758,6 @@ where
         self.cache_capacity = capacity;
         self.bdd.set_reorder_threshold(reorder);
         self.kernel_threads = threads;
-        self.team = team;
         self.store = store;
     }
 
@@ -1040,7 +1021,7 @@ where
     }
 
     /// The engine counterpart of [`crate::analyze`]: bottom-up on trees,
-    /// `BDDBU` (under the declaration order, into the shared manager) on
+    /// `BDDBU` (under the declaration order, into the long-lived manager) on
     /// DAGs — with the cross-query cache consulted first either way.
     ///
     /// # Errors
@@ -1057,7 +1038,7 @@ where
     }
 
     /// The engine counterpart of [`crate::bdd_bu::bdd_bu_report`]: runs
-    /// `BDDBU` under `order` against the engine's shared manager, applying
+    /// `BDDBU` under `order` against the engine's long-lived manager, applying
     /// the engine's query lifecycle — compile, protect, propagate,
     /// unprotect, maybe-GC — and the cross-query cache (which stores the
     /// full report, so hits reproduce BDD size and width too).
@@ -1073,24 +1054,6 @@ where
                 bdd_nodes: hit.bdd_nodes,
                 max_front_width: hit.max_front_width,
             };
-        }
-        // Parallel mode: the miss compiles into a fresh shared manager
-        // with the work-stealing apply and propagates over it — the report
-        // is byte-identical to the sequential lifecycle below (canonical
-        // kernel, same reachable sweep), but the long-lived sequential
-        // manager, its GC and its reordering hook are not involved.
-        if let Some(team) = &self.team {
-            let report = par_bdd_bu_report(t, order, team);
-            self.insert(
-                hash,
-                key,
-                CachedReport {
-                    front: report.front.clone(),
-                    bdd_nodes: report.bdd_nodes,
-                    max_front_width: report.max_front_width,
-                },
-            );
-            return report;
         }
         // The query lifecycle. The protect/unprotect pair brackets every
         // use of `root`: the reordering hook below *does* restructure the
@@ -1251,8 +1214,8 @@ where
 
 impl<DD, DA> AnalysisEngine<DD, DA>
 where
-    DD: AttributeDomain + Clone + Send + 'static,
-    DA: AttributeDomain + Clone + Send + 'static,
+    DD: AttributeDomain + Clone + Send,
+    DA: AttributeDomain + Clone + Send,
     DD::Value: Send,
     DA::Value: Send,
 {
@@ -1269,13 +1232,14 @@ where
     ///
     /// With [`set_kernel_threads`](AnalysisEngine::set_kernel_threads)
     /// `> 1`, module fronts missing from the cache are analyzed *in
-    /// parallel* on the kernel team — every job compiling into one shared
-    /// concurrent manager — before the sequential bottom-up join over the
-    /// quotient. Fronts are identical to the sequential mode; the cache
-    /// *entries* differ in bookkeeping only: parallel jobs analyze their
-    /// module directly, so nested sub-modules get no entries of their
-    /// own, and a parallel module entry records its run's BDD stats where
-    /// the sequential modular path stores zeros.
+    /// parallel*, each thread compiling into a private single-owner
+    /// manager, before the sequential bottom-up join over the quotient.
+    /// Fronts are identical to the sequential mode; the cache *entries*
+    /// differ in bookkeeping only: parallel jobs analyze their module
+    /// directly under its declaration order, without the engine's
+    /// reordering hook or store diagrams, so nested sub-modules get no
+    /// entries of their own, and a parallel module entry records its run's
+    /// BDD stats where the sequential modular path stores zeros.
     ///
     /// # Errors
     ///
@@ -1288,12 +1252,12 @@ where
     /// The cache-miss body of [`AnalysisEngine::modular`]: the sequential
     /// mode delegates to the shared [`modular_core`] skeleton (recursive,
     /// cache-aware via the [`ModuleAnalyzer`] impl below); the parallel
-    /// mode batches the module misses onto the kernel team.
+    /// mode fans the module misses out over threads.
     fn modular_uncached(
         &mut self,
         t: &AugmentedAdt<DD, DA>,
     ) -> Result<Front<DD, DA>, AnalysisError> {
-        if self.team.is_none() {
+        if self.kernel_threads == 1 {
             return modular_core(t, self);
         }
         match decompose(t)? {
@@ -1301,7 +1265,7 @@ where
             Decomposed::Direct => self.direct_front(t),
             Decomposed::Modular { modules, quotient } => {
                 // Cache lookups stay sequential (the memo is engine
-                // state); only the misses fan out to the team.
+                // state); only the misses fan out.
                 let mut fronts: HashMap<String, Front<DD, DA>> = HashMap::new();
                 let mut miss_meta = Vec::new();
                 let mut miss_jobs = Vec::new();
@@ -1318,8 +1282,7 @@ where
                     }
                 }
                 if !miss_jobs.is_empty() {
-                    let team = self.team.as_ref().expect("parallel branch");
-                    let reports = par_module_reports(team, miss_jobs);
+                    let reports = par_module_reports(self.kernel_threads, miss_jobs);
                     for ((name, hash, key), report) in miss_meta.into_iter().zip(reports) {
                         // Unlike the sequential modular path (whose
                         // recombined fronts have no single producing BDD
@@ -1347,8 +1310,8 @@ where
 
 impl<DD, DA> ModuleAnalyzer<DD, DA> for AnalysisEngine<DD, DA>
 where
-    DD: AttributeDomain + Clone + Send + 'static,
-    DA: AttributeDomain + Clone + Send + 'static,
+    DD: AttributeDomain + Clone + Send,
+    DA: AttributeDomain + Clone + Send,
     DD::Value: Send,
     DA::Value: Send,
 {
@@ -1844,6 +1807,97 @@ mod tests {
         assert_eq!(engine.modular(&t).unwrap(), modular_bdd_bu(&t).unwrap());
         assert_eq!(engine.stats().cache_misses, misses);
         assert!(engine.stats().cache_hits >= 1);
+    }
+
+    /// The attacker cost whose `⊗` trips [`Tripwire`].
+    const TRIP: u64 = 666;
+
+    /// [`MinCost`], except that `⊗` panics when either operand is the
+    /// [`TRIP`] cost: a fault planted inside one module's sweep.
+    #[derive(Debug, Clone, Copy)]
+    struct Tripwire;
+
+    impl AttributeDomain for Tripwire {
+        type Value = adt_core::Ext<u64>;
+
+        fn mul(&self, x: &Self::Value, y: &Self::Value) -> Self::Value {
+            let trip = adt_core::Ext::Fin(TRIP);
+            assert!(*x != trip && *y != trip, "tripwire");
+            MinCost.mul(x, y)
+        }
+
+        fn one(&self) -> Self::Value {
+            MinCost.one()
+        }
+
+        fn zero(&self) -> Self::Value {
+            MinCost.zero()
+        }
+
+        fn compare(&self, x: &Self::Value, y: &Self::Value) -> std::cmp::Ordering {
+            MinCost.compare(x, y)
+        }
+    }
+
+    /// A DAG whose root ORs two independent modules, each an inhibited OR
+    /// of pair-ANDs that share attacks; with `trip`, one attack of the
+    /// second module costs [`TRIP`]. The first module is wide, so at two
+    /// threads whichever thread takes it is still sweeping it when the
+    /// other takes the second.
+    fn two_modules(trip: bool) -> AugmentedAdt<MinCost, Tripwire> {
+        let mut b = adt_core::AdtBuilder::new();
+        let blocks: Vec<_> = [("m0", 10), ("m1", 2)]
+            .into_iter()
+            .map(|(tag, width)| {
+                let mut attacks = |side: &str| -> Vec<_> {
+                    (0..width)
+                        .map(|i| b.attack(format!("{tag}_{side}{i}")).unwrap())
+                        .collect()
+                };
+                let (x, y) = (attacks("x"), attacks("y"));
+                let mut ands: Vec<_> = (0..width)
+                    .map(|i| b.and(format!("{tag}_p{i}"), [x[i], y[i]]).unwrap())
+                    .collect();
+                ands.push(b.and(format!("{tag}_px"), [x[0], y[1]]).unwrap());
+                let or = b.or(format!("{tag}_or"), ands).unwrap();
+                let d = b.defense(format!("{tag}_d")).unwrap();
+                b.inh(format!("{tag}_root"), or, d).unwrap()
+            })
+            .collect();
+        let root = b.or("root", blocks).unwrap();
+        AugmentedAdt::from_fns(
+            b.build(root).unwrap(),
+            MinCost,
+            Tripwire,
+            |_, _| adt_core::Ext::Fin(4),
+            |q, id| match q[id].name() {
+                "m1_x0" if trip => adt_core::Ext::Fin(TRIP),
+                _ => adt_core::Ext::Fin(3 + id.index() as u64 % 7),
+            },
+        )
+    }
+
+    #[test]
+    fn module_fan_out_panic_reaches_the_caller_and_reset_recovers() {
+        let mut engine: AnalysisEngine<MinCost, Tripwire> = AnalysisEngine::new();
+        engine.set_kernel_threads(2);
+        let tripped = two_modules(true);
+        // Which thread — the caller or its helper — takes the tripped
+        // module is a race each round; the payload must reach the caller
+        // either way.
+        for _round in 0..8 {
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.modular(&tripped)))
+                    .expect_err("the planted fault must panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"tripwire"));
+            engine.reset();
+        }
+        assert_eq!(engine.kernel_threads(), 2);
+        let ordinary = two_modules(false);
+        assert_eq!(
+            engine.modular(&ordinary).unwrap(),
+            modular_bdd_bu(&ordinary).unwrap()
+        );
     }
 
     #[test]

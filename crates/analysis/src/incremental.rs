@@ -639,8 +639,8 @@ where
 
 impl<DD, DA> IncrementalSession<DD, DA>
 where
-    DD: AttributeDomain + Clone + Send + 'static,
-    DA: AttributeDomain + Clone + Send + 'static,
+    DD: AttributeDomain + Clone + Send,
+    DA: AttributeDomain + Clone + Send,
     DD::Value: Send,
     DA::Value: Send,
 {

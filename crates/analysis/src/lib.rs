@@ -57,7 +57,7 @@ mod error;
 pub mod incremental;
 pub mod modular;
 pub mod naive;
-pub mod parallel;
+mod parallel;
 pub mod semantics;
 pub mod strategies;
 pub mod tree_transform;
@@ -70,7 +70,6 @@ pub use error::AnalysisError;
 pub use incremental::{EditReport, IncrementalSession};
 pub use modular::{find_modules, modular_bdd_bu, proper_modules};
 pub use naive::{naive, naive_bitparallel};
-pub use parallel::{compile_into_shared, par_bdd_bu_report};
 pub use semantics::{brute_force_front, feasible_events, optimal_response};
 pub use strategies::{pareto_strategies, pareto_strategies_with_order, Strategy};
 pub use tree_transform::{unfold_to_tree, unfolded, unfolded_size, DEFAULT_UNFOLD_LIMIT};

@@ -139,8 +139,8 @@ where
 
 /// The outcome of splitting one query into modules — the structural half
 /// of [`modular_core`], decoupled from *computing* the module fronts so
-/// that the engine's parallel path ([`crate::parallel`]) can dispatch the
-/// extracted modules to a thread team instead of analyzing them inline.
+/// that the engine's parallel path ([`crate::parallel`]) can fan the
+/// extracted modules out over threads instead of analyzing them inline.
 pub(crate) enum Decomposed<DD: AttributeDomain, DA: AttributeDomain> {
     /// The input is already a tree: the generalized bottom-up pass applies
     /// directly, no modules involved.

@@ -12,7 +12,7 @@
 //! open-addressed table over the cone's own refs — nothing is sized to
 //! the arena or indexed by arena position.
 
-use crate::manager::{BddRead, NodeRef, EMPTY, TERMINAL_LEVEL};
+use crate::manager::{Bdd, NodeRef, EMPTY, TERMINAL_LEVEL};
 use crate::Level;
 
 /// Slot count of a fresh position table (power of two).
@@ -39,7 +39,7 @@ impl ConeNode {
     pub const NO_CHILD: u32 = u32::MAX;
 }
 
-/// The cone of one root, as built by [`BddRead::cone`]: every tagged ref
+/// The cone of one root, as built by [`Bdd::cone`]: every tagged ref
 /// reachable from the root, each listed once and after both of its
 /// cofactors, the root last.
 ///
@@ -83,7 +83,7 @@ impl Cone {
         self.find(f).map(|pos| pos as usize)
     }
 
-    /// The walk behind [`BddRead::cone`]: an iterative depth-first
+    /// The walk behind [`Bdd::cone`]: an iterative depth-first
     /// post-order traversal from `root`. Every edge resolves the ref it
     /// reaches to a position: a listed ref answers from the table, an
     /// unlisted terminal is listed on sight, and an unlisted inner ref
@@ -92,7 +92,7 @@ impl Cone {
     /// hands its own position to the frame below it. Diagrams are acyclic,
     /// so a ref is never reached again while its frame is open, and each
     /// ref is listed exactly once.
-    pub(crate) fn walk<B: BddRead + ?Sized>(bdd: &B, root: NodeRef) -> Cone {
+    pub(crate) fn walk(bdd: &Bdd, root: NodeRef) -> Cone {
         let mut cone = Cone {
             nodes: Vec::new(),
             slots: vec![(EMPTY, 0); INITIAL_SLOTS],
@@ -199,7 +199,7 @@ fn insert(slots: &mut [(u32, u32)], raw: u32, pos: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bdd, Bexpr};
+    use crate::Bexpr;
 
     #[test]
     fn terminal_roots_are_one_node_cones() {

@@ -74,14 +74,12 @@ mod expr;
 mod manager;
 mod reorder;
 mod serial;
-mod shared;
 
 /// A variable's position in the global order (0 = tested first).
 pub type Level = u32;
 
 pub use cone::{Cone, ConeNode};
 pub use expr::Bexpr;
-pub use manager::{Bdd, BddRead, GcStats, NodeRef, RootHandle, SiftOutcome};
+pub use manager::{Bdd, GcStats, NodeRef, RootHandle, SiftOutcome};
 pub use reorder::force_order;
 pub use serial::{DiagramDump, DumpNode, DumpRef};
-pub use shared::{in_team_task, BddManager, SharedBdd, Team, TeamCtx, TeamTask};

@@ -67,7 +67,7 @@
 //!   workloads from `adt-gen` (whose diagrams can be thousands of levels
 //!   deep) cannot overflow the call stack. Index sweeps cover every index
 //!   below the root; the walk bottom-up consumers use,
-//!   [`BddRead::cone`], visits only the root's cone instead, so its cost
+//!   [`Bdd::cone`], visits only the root's cone instead, so its cost
 //!   does not grow with the garbage and foreign diagrams of a long-lived
 //!   arena. Where a result depends on the polarity a node is reached with
 //!   (`sat_count`, the cone), the complement is derived per tagged ref,
@@ -168,14 +168,9 @@ impl NodeRef {
     }
 
     /// The raw 32-bit encoding (index plus tag bit) — the currency of the
-    /// unique tables and operation caches, sequential and shared alike.
+    /// unique table, the operation cache and the cone's position table.
     pub(crate) fn raw(self) -> u32 {
         self.0
-    }
-
-    /// Rebuilds a ref from its raw encoding (inverse of [`NodeRef::raw`]).
-    pub(crate) fn from_raw(raw: u32) -> NodeRef {
-        NodeRef(raw)
     }
 }
 
@@ -195,7 +190,7 @@ pub(crate) struct BddNode {
 /// position), and linear probing over a power-of-two table only needs the
 /// high bits to spread.
 #[inline]
-pub(crate) fn hash_triple(level: Level, low: u32, high: u32) -> u64 {
+fn hash_triple(level: Level, low: u32, high: u32) -> u64 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     let packed = (u64::from(low) << 32) | u64::from(high);
     let mut h = packed.wrapping_mul(K);
@@ -588,6 +583,14 @@ impl Bdd {
             .complement_if(f.is_complemented())
     }
 
+    /// The cone of `f`: every tagged ref reachable from it, children
+    /// first, each with its cofactors' positions (see [`Cone`]). Costs
+    /// O(|cone|) time and memory however large the arena around it is —
+    /// nothing is sized to the arena.
+    pub fn cone(&self, f: NodeRef) -> Cone {
+        Cone::walk(self, f)
+    }
+
     /// Hash-consing constructor: the canonical ref for the function
     /// `(level, low, high)`, applying the complement-edge canonicity rule —
     /// a complemented high edge is pushed onto the low edge and the
@@ -642,7 +645,7 @@ impl Bdd {
     /// that need no cache lookup. The last arm is new with complement
     /// edges: `ite(f, 0, 1) = ¬f` costs a bit flip.
     #[inline]
-    pub(crate) fn ite_shortcut(f: NodeRef, g: NodeRef, h: NodeRef) -> Option<NodeRef> {
+    fn ite_shortcut(f: NodeRef, g: NodeRef, h: NodeRef) -> Option<NodeRef> {
         if f == Self::TRUE {
             return Some(g);
         }
@@ -669,7 +672,7 @@ impl Bdd {
     /// `¬ite(f, ¬g, ¬h)` — all normalize to the same triple, so they share
     /// one cache entry and one expansion.
     #[inline]
-    pub(crate) fn ite_normalize(f: &mut NodeRef, g: &mut NodeRef, h: &mut NodeRef) -> bool {
+    fn ite_normalize(f: &mut NodeRef, g: &mut NodeRef, h: &mut NodeRef) -> bool {
         // Branches of the condition collapse to constants.
         if g.index() == f.index() {
             *g = if g == f { Self::TRUE } else { Self::FALSE };
@@ -1080,7 +1083,7 @@ impl Bdd {
 
     /// The distinct sub-*functions* reachable from `f` (terminal polarities
     /// included), each after both of its cofactors: the refs of
-    /// [`BddRead::cone`], in the walk's order. A node reached under both
+    /// [`Bdd::cone`], in the walk's order. A node reached under both
     /// polarities contributes two refs.
     ///
     /// The length of the result is the paper's `|W|` — the number of
@@ -1092,7 +1095,7 @@ impl Bdd {
     /// Number of arena nodes reachable from `f`, the terminal included —
     /// the *memory* footprint of the diagram. A function and its
     /// complement share every node, so this is polarity-blind (the
-    /// propagation workload `|W|` is the length of [`BddRead::cone`]
+    /// propagation workload `|W|` is the length of [`Bdd::cone`]
     /// instead).
     pub fn node_count(&self, f: NodeRef) -> usize {
         if f.is_terminal() {
@@ -1929,46 +1932,6 @@ impl Bdd {
             return None;
         }
         Some(self.sift(groups))
-    }
-}
-
-/// Read-only diagram access shared by the sequential [`Bdd`] and the
-/// concurrent [`crate::SharedBdd`] kernels.
-///
-/// Consumers that only *walk* a compiled diagram — the bottom-up Pareto
-/// propagation above all — are generic over this trait, so the same
-/// monomorphized sweep runs against either kernel. The contract mirrors
-/// the sequential accessors: `low`/`high` speak *functions* (complement
-/// tags propagate onto cofactors), and the provided [`BddRead::cone`]
-/// walk is written once, over those accessors, for every kernel.
-pub trait BddRead {
-    /// The branching level of a ref's node ([`Level::MAX`] for terminals).
-    fn level(&self, f: NodeRef) -> Level;
-    /// The low (`0`-labeled) cofactor of a nonterminal function.
-    fn low(&self, f: NodeRef) -> NodeRef;
-    /// The high (`1`-labeled) cofactor of a nonterminal function.
-    fn high(&self, f: NodeRef) -> NodeRef;
-
-    /// The cone of `f`: every tagged ref reachable from it, children
-    /// first, each with its cofactors' positions (see [`Cone`]). Costs
-    /// O(|cone|) time and memory however large the arena around it is —
-    /// nothing is sized to the arena.
-    fn cone(&self, f: NodeRef) -> Cone {
-        Cone::walk(self, f)
-    }
-}
-
-impl BddRead for Bdd {
-    fn level(&self, f: NodeRef) -> Level {
-        Bdd::level(self, f)
-    }
-
-    fn low(&self, f: NodeRef) -> NodeRef {
-        Bdd::low(self, f)
-    }
-
-    fn high(&self, f: NodeRef) -> NodeRef {
-        Bdd::high(self, f)
     }
 }
 

@@ -19,7 +19,7 @@
 //! before parents, levels inside the declared variable count) rejects
 //! hostile input with `None` before any node is built.
 
-use crate::manager::{Bdd, BddRead, NodeRef};
+use crate::manager::{Bdd, NodeRef};
 use crate::Level;
 
 /// An edge of a [`DiagramDump`]: bit 31 is the complement tag; the low 31

@@ -1,4 +1,4 @@
-//! Property tests of the cone walk (`BddRead::cone`) on managers whose
+//! Property tests of the cone walk (`Bdd::cone`) on managers whose
 //! arena holds more than the queried diagram: garbage from building, and
 //! other protected roots created both before (below) and after (above)
 //! the queried root.
@@ -7,11 +7,11 @@
 //! over every index below the root with a reachability flag per polarity.
 //! The walk must list exactly the scan's set — each ref once, after both
 //! of its cofactors, the root last — and must walk the same function the
-//! same way on the concurrent kernel.
+//! same way on a fresh manager.
 
 use proptest::prelude::*;
 
-use adt_bdd::{Bdd, BddRead, Bexpr, Cone, ConeNode, NodeRef, SharedBdd};
+use adt_bdd::{Bdd, Bexpr, Cone, ConeNode, NodeRef};
 
 const VARS: usize = 6;
 
@@ -91,23 +91,6 @@ fn check_cone(bdd: &Bdd, root: NodeRef) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Builds `expr` on the concurrent kernel.
-fn build_shared(bdd: &SharedBdd, expr: &Bexpr) -> NodeRef {
-    match expr {
-        Bexpr::Const(b) => bdd.constant(*b),
-        Bexpr::Var(l) => bdd.var(*l),
-        Bexpr::Not(e) => build_shared(bdd, e).complement(),
-        Bexpr::And(es) => es.iter().fold(Bdd::TRUE, |acc, e| {
-            let f = build_shared(bdd, e);
-            bdd.apply_and(acc, f)
-        }),
-        Bexpr::Or(es) => es.iter().fold(Bdd::FALSE, |acc, e| {
-            let f = build_shared(bdd, e);
-            bdd.apply_or(acc, f)
-        }),
-    }
-}
-
 /// The walk's shape with arena indices erased: per position, the level,
 /// the ref's polarity and the cofactor positions. Equal for any two
 /// managers holding the same function.
@@ -175,26 +158,4 @@ proptest! {
         prop_assert_eq!(shape(&bdd.cone(root)), shape(&fresh.cone(fresh_root)));
     }
 
-    /// One walk serves both kernels: the concurrent manager's cone of the
-    /// same function has the same shape as the sequential one's.
-    #[test]
-    fn shared_kernel_walks_the_same_cone(
-        below in prop::collection::vec(bexpr(), 0..4),
-        query in bexpr(),
-        complemented in any::<bool>(),
-    ) {
-        let shared = SharedBdd::new(VARS);
-        let mut bdd = Bdd::new(VARS);
-        for expr in &below {
-            build_shared(&shared, expr);
-        }
-        let s = build_shared(&shared, &query);
-        let f = bdd.build(&query);
-        let (s, f) = if complemented {
-            (s.complement(), f.complement())
-        } else {
-            (s, f)
-        };
-        prop_assert_eq!(shape(&shared.cone(s)), shape(&bdd.cone(f)));
-    }
 }

@@ -1,52 +1,50 @@
-//! Scaling accounting for the PR-7 concurrent shared-manager kernel,
-//! written to `BENCH_PR7.json`.
+//! Scaling accounting for module-level parallelism, written to
+//! `BENCH_PR7.json`.
 //!
-//! Two workloads over the interleaved-pair family — `OR_i (x_i ∧ y_i)`
-//! under the declaration order `x_1..x_m y_1..y_m`, whose BDD is Θ(2^m)
-//! and therefore gives the thread team real apply work:
-//!
-//! 1. **Intra-query apply scaling.** One monolithic instance is compiled
-//!    and swept by [`par_bdd_bu_report`] on thread teams of 1/2/4/8, each
-//!    run on a fresh shared manager (the protocol the parallel engine path
-//!    uses), against the one-shot sequential [`bdd_bu_with_order`].
-//! 2. **Parallel modular BDDBU.** A DAG whose root ORs `K` independent
-//!    defense modules (each an interleaved-pair subtree behind its own
-//!    inhibition) is analyzed by engines armed with
-//!    `set_kernel_threads(n)`, which dispatch the module compilations to
-//!    the shared kernel's thread team before the sequential join.
+//! The workload is a DAG whose root ORs `K` independent defense modules,
+//! each an interleaved-pair block `OR_i (x_i ∧ y_i)` behind its own
+//! inhibition — under the declaration order `x_1..x_m y_1..y_m` its BDD is
+//! Θ(2^m), so every module is real work. Engines armed with
+//! `set_kernel_threads(n)` fan the module misses out over `n` threads, each
+//! compiling into a private single-owner manager, before the sequential
+//! join; every engine is reset before every run, so each run recompiles
+//! every module (the cold protocol; the warm one is `BENCH_PR4`'s subject).
 //!
 //! Three gates, in decreasing strictness:
 //!
-//! * **Correctness — always.** Before any clock starts, every parallel
-//!   front/size/width is asserted equal to the sequential report at every
-//!   thread count, the shared manager's quiescent invariants are checked
-//!   after the concurrent build, and the compiled shared BDD is evaluated
-//!   against the frozen [`ControlBdd`](adt_bdd::control::ControlBdd) on
-//!   sampled assignments.
-//! * **Single-thread overhead — always.** The engine at
-//!   `kernel_threads = 1` must stay within [`OVERHEAD_GATE`] of the
-//!   one-shot sequential path (n = 1 takes the untouched single-owner
-//!   kernel; this pins that claim). The shared kernel driven by a 1-thread
-//!   team is also measured — that ratio is the sharding tax and is
-//!   reported, not gated (the engine never takes that path at n = 1).
+//! * **Correctness — always.** Before any clock starts, the modular front
+//!   at every thread count is asserted equal to sequential BDDBU, and the
+//!   engine's report on the monolithic instance below to the one-shot
+//!   report.
+//! * **Single-thread overhead — always.** On one monolithic
+//!   interleaved-pair instance, the engine at `kernel_threads = 1` must
+//!   stay within [`OVERHEAD_GATE`] of the one-shot [`bdd_bu_report`]:
+//!   both run the same single-owner kernel, so the ratio is the engine's
+//!   own bookkeeping.
 //! * **Speedup — armed only on multi-core hosts.** When
-//!   `available_parallelism ≥ 2`, the best measured speedup must reach
-//!   [`SPEEDUP_GATE`]; on a single-core host the ratio measures
-//!   synchronization overhead, not parallelism, so the JSON records the
-//!   gate as disarmed with an honest note instead of a vacuous pass.
+//!   `available_parallelism ≥ 2`, the best thread count's speedup over
+//!   the sequential engine must reach [`SPEEDUP_GATE`]; on a single-core
+//!   host the ratio measures synchronization overhead, not parallelism,
+//!   so the JSON records the gate as disarmed with an honest note instead
+//!   of a vacuous pass.
+//!
+//! Every ratio is taken over alternated pairs: a baseline run and a
+//! candidate run, the one that goes first flipping from pair to pair, and
+//! the gate reads the median of the per-pair ratios. Both runs of a pair
+//! see the same state of the host, so a slow phase of a shared machine
+//! slows both and cancels in their ratio; a ratio of two medians timed
+//! apart does not cancel it, and on sub-millisecond workloads that noise
+//! alone is as large as the margins the gates test.
 //!
 //! Usage: `cargo run --release -p adt-bench --bin bench_parallel [-- OUT]`
 //! (default output path `BENCH_PR7.json`; set `BENCH_PARALLEL_QUICK=1`
-//! for the CI smoke configuration: smaller instances, one repeat).
+//! for the CI smoke configuration: smaller instances).
 
 use std::time::{Duration, Instant};
 
-use adt_analysis::{
-    bdd_bu_report, bdd_bu_with_order, compile_into_shared, par_bdd_bu_report, DefenseFirstOrder,
-};
-use adt_bdd::{SharedBdd, Team};
+use adt_analysis::{bdd_bu_report, bdd_bu_with_order, DefenseFirstOrder};
 use adt_bench::json::{bench_report, parallelism_note, Object, Value};
-use adt_bench::{control_compile, default_jobs, median, sampled_assignments, SuiteEngine};
+use adt_bench::{default_jobs, median, SuiteEngine};
 use adt_core::semiring::{Ext, MinCost};
 use adt_core::{Adt, AdtBuilder, AugmentedAdt, NodeId};
 
@@ -58,6 +56,9 @@ const OVERHEAD_GATE: f64 = 1.25;
 /// Minimum best-case speedup demanded when the host can actually run
 /// threads in parallel.
 const SPEEDUP_GATE: f64 = 1.5;
+
+/// Timed pairs per gate (odd, so the median is one pair's ratio).
+const PAIRS: usize = 41;
 
 type CostAdt = AugmentedAdt<MinCost, MinCost>;
 
@@ -124,35 +125,64 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Median wall-clock of `repeats` runs of `f`.
-fn wall_clock(repeats: usize, mut f: impl FnMut()) -> Duration {
-    let mut times: Vec<Duration> = (0..repeats.max(1))
-        .map(|_| {
+/// Alternated-pair timings of two workloads, `num` and `den`.
+struct Paired {
+    num: Vec<Duration>,
+    den: Vec<Duration>,
+    /// `num / den` per pair, sorted ascending.
+    ratios: Vec<f64>,
+}
+
+impl Paired {
+    /// Times [`PAIRS`] pairs of one `num` run and one `den` run after an
+    /// untimed warm-up pair; which of the two runs first flips every pair.
+    fn time(mut num: impl FnMut(), mut den: impl FnMut()) -> Paired {
+        fn timed(f: &mut impl FnMut()) -> Duration {
             let start = Instant::now();
             f();
             start.elapsed()
-        })
-        .collect();
-    median(&mut times).expect("at least one repeat")
-}
+        }
+        num();
+        den();
+        let mut paired = Paired {
+            num: Vec::with_capacity(PAIRS),
+            den: Vec::with_capacity(PAIRS),
+            ratios: Vec::with_capacity(PAIRS),
+        };
+        for i in 0..PAIRS {
+            let (n, d) = if i % 2 == 0 {
+                let n = timed(&mut num);
+                (n, timed(&mut den))
+            } else {
+                let d = timed(&mut den);
+                (timed(&mut num), d)
+            };
+            paired.num.push(n);
+            paired.den.push(d);
+            paired.ratios.push(n.as_secs_f64() / d.as_secs_f64());
+        }
+        paired.ratios.sort_by(f64::total_cmp);
+        paired
+    }
 
-struct Scaling {
-    threads: usize,
-    time: Duration,
-    speedup: f64,
-}
+    /// The median per-pair ratio — what the gates read.
+    fn ratio(&self) -> f64 {
+        self.ratios[self.ratios.len() / 2]
+    }
 
-fn scaling_rows(rows: &[Scaling]) -> Vec<Value> {
-    rows.iter()
-        .map(|r| {
-            Value::from(
-                Object::new()
-                    .field("threads", r.threads)
-                    .field("wall_ms", Value::float(ms(r.time), 2))
-                    .field("speedup", Value::float(r.speedup, 2)),
-            )
-        })
-        .collect()
+    /// The quartiles of the per-pair ratios.
+    fn quartiles(&self) -> (f64, f64) {
+        let n = self.ratios.len();
+        (self.ratios[n / 4], self.ratios[3 * n / 4])
+    }
+
+    fn num_ms(&self) -> f64 {
+        ms(median(&mut self.num.clone()).expect("timed pairs"))
+    }
+
+    fn den_ms(&self) -> f64 {
+        ms(median(&mut self.den.clone()).expect("timed pairs"))
+    }
 }
 
 fn main() {
@@ -160,59 +190,40 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_PR7.json".into());
     let quick = std::env::var("BENCH_PARALLEL_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-    let (mono_m, mod_k, mod_m, repeats) = if quick { (11, 4, 8, 1) } else { (15, 8, 11, 3) };
+    let (mono_m, mod_k, mod_m) = if quick { (11, 4, 8) } else { (15, 8, 11) };
     let thread_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let cores = default_jobs();
     let speedup_gate_armed = cores >= 2;
 
     // --- correctness gates, before any clock ------------------------------
-    // Oracle check on a small instance: the concurrently built shared BDD
-    // must agree with the frozen tag-free control on sampled assignments.
-    {
-        let probe = monolithic(8);
-        let order = DefenseFirstOrder::declaration(probe.adt());
-        let team = Team::new(4);
-        let shared = SharedBdd::new(order.var_count());
-        let root = compile_into_shared(&shared, Some(&team), probe.adt(), &order);
-        shared
-            .check_invariants_quiescent()
-            .expect("shared manager invariants after concurrent build");
-        let (control, croot) = control_compile(probe.adt(), &order);
-        for a in sampled_assignments(7, order.var_count(), 256) {
-            assert_eq!(
-                shared.eval(root, &a),
-                control.eval(croot, &a),
-                "concurrent compile diverged from the control oracle"
-            );
-        }
-    }
     let mono = monolithic(mono_m);
     let mono_order = DefenseFirstOrder::declaration(mono.adt());
     let mono_reference = bdd_bu_report(&mono, &mono_order);
+    let mut engine1 = SuiteEngine::new();
+    let engine_report = engine1.bdd_bu_report(&mono, &mono_order);
+    assert_eq!(engine_report.front, mono_reference.front, "engine front");
+    assert_eq!(engine_report.bdd_nodes, mono_reference.bdd_nodes);
+    assert_eq!(
+        engine_report.max_front_width,
+        mono_reference.max_front_width
+    );
     let modular_t = modular(mod_k, mod_m);
     let modular_reference =
         bdd_bu_with_order(&modular_t, &DefenseFirstOrder::declaration(modular_t.adt()))
             .expect("sequential BDDBU");
-    for &n in thread_counts {
-        let team = Team::new(n);
-        let report = par_bdd_bu_report(&mono, &mono_order, &team);
-        assert_eq!(report.front, mono_reference.front, "{n}-thread front");
-        assert_eq!(
-            report.bdd_nodes, mono_reference.bdd_nodes,
-            "{n}-thread size"
-        );
-        assert_eq!(
-            report.max_front_width, mono_reference.max_front_width,
-            "{n}-thread width"
-        );
-        let mut engine = SuiteEngine::new();
-        engine.set_kernel_threads(n);
-        assert_eq!(
-            engine.modular(&modular_t).expect("modular analysis"),
-            modular_reference,
-            "{n}-thread modular front"
-        );
-    }
+    let mut engines: Vec<SuiteEngine> = thread_counts
+        .iter()
+        .map(|&n| {
+            let mut engine = SuiteEngine::new();
+            engine.set_kernel_threads(n);
+            assert_eq!(
+                engine.modular(&modular_t).expect("modular analysis"),
+                modular_reference,
+                "{n}-thread modular front"
+            );
+            engine
+        })
+        .collect();
     eprintln!(
         "correctness: fronts identical at every thread count {thread_counts:?} \
          (mono |W| = {}, modular |front| = {})",
@@ -220,83 +231,60 @@ fn main() {
         modular_reference.len()
     );
 
-    // --- workload 1: intra-query apply scaling ----------------------------
-    let seq_mono = wall_clock(repeats, || {
-        std::hint::black_box(bdd_bu_report(&mono, &mono_order));
-    });
-    let mono_rows: Vec<Scaling> = thread_counts
-        .iter()
-        .map(|&n| {
-            let team = Team::new(n);
-            let time = wall_clock(repeats, || {
-                std::hint::black_box(par_bdd_bu_report(&mono, &mono_order, &team));
-            });
-            let speedup = seq_mono.as_secs_f64() / time.as_secs_f64();
-            eprintln!("mono: {n} threads {:.1}ms (×{speedup:.2})", ms(time));
-            Scaling {
-                threads: n,
-                time,
-                speedup,
-            }
-        })
-        .collect();
-
-    // --- workload 2: parallel modular BDDBU -------------------------------
-    // One engine per thread count, reset before every timed run so each run
-    // recompiles every module (the cold protocol; the warm protocol is
-    // BENCH_PR4's subject).
+    // --- modular scaling: sequential engine vs n-thread engine ------------
     let mut seq_engine = SuiteEngine::new();
-    let seq_modular = wall_clock(repeats, || {
-        seq_engine.reset();
-        std::hint::black_box(seq_engine.modular(&modular_t).expect("modular"));
-    });
-    let modular_rows: Vec<Scaling> = thread_counts
+    let rows: Vec<(usize, Paired)> = thread_counts
         .iter()
-        .map(|&n| {
-            let mut engine = SuiteEngine::new();
-            engine.set_kernel_threads(n);
-            let time = wall_clock(repeats, || {
-                engine.reset();
-                std::hint::black_box(engine.modular(&modular_t).expect("modular"));
-            });
-            let speedup = seq_modular.as_secs_f64() / time.as_secs_f64();
-            eprintln!("modular: {n} threads {:.1}ms (×{speedup:.2})", ms(time));
-            Scaling {
-                threads: n,
-                time,
-                speedup,
-            }
+        .zip(&mut engines)
+        .map(|(&n, engine)| {
+            let paired = Paired::time(
+                || {
+                    seq_engine.reset();
+                    std::hint::black_box(seq_engine.modular(&modular_t).expect("modular"));
+                },
+                || {
+                    engine.reset();
+                    std::hint::black_box(engine.modular(&modular_t).expect("modular"));
+                },
+            );
+            let (q1, q3) = paired.quartiles();
+            eprintln!(
+                "modular: {n} threads {:.2}ms vs {:.2}ms sequential \
+                 (×{:.2} per pair, quartiles ×{q1:.2}–×{q3:.2})",
+                paired.den_ms(),
+                paired.num_ms(),
+                paired.ratio()
+            );
+            (n, paired)
         })
         .collect();
 
     // --- single-thread overhead gate --------------------------------------
-    // The engine at kernel_threads = 1 runs the untouched single-owner
-    // kernel; its ratio to the one-shot baseline is gated. The 1-thread
-    // shared-team ratio (the sharding tax, a path the engine never takes at
-    // n = 1) comes from the rows above and is only reported.
-    let mut engine1 = SuiteEngine::new();
-    engine1.set_kernel_threads(1);
-    let engine_seq = wall_clock(repeats, || {
-        engine1.reset();
-        std::hint::black_box(engine1.bdd_bu_report(&mono, &mono_order));
-    });
-    let overhead = engine_seq.as_secs_f64() / seq_mono.as_secs_f64();
-    assert!(
-        overhead <= OVERHEAD_GATE,
-        "single-thread engine overhead ×{overhead:.3} exceeds the ×{OVERHEAD_GATE} gate"
+    let overhead = Paired::time(
+        || {
+            engine1.reset();
+            std::hint::black_box(engine1.bdd_bu_report(&mono, &mono_order));
+        },
+        || {
+            std::hint::black_box(bdd_bu_report(&mono, &mono_order));
+        },
     );
-    let sharding_tax = mono_rows[0].time.as_secs_f64() / seq_mono.as_secs_f64();
+    let overhead_ratio = overhead.ratio();
+    let (overhead_q1, overhead_q3) = overhead.quartiles();
     eprintln!(
-        "overhead: engine@1 ×{overhead:.3} (gate ×{OVERHEAD_GATE}), \
-         1-thread shared-team tax ×{sharding_tax:.2}"
+        "overhead: engine@1 {:.2}ms vs one-shot {:.2}ms \
+         (×{overhead_ratio:.3} per pair, quartiles ×{overhead_q1:.3}–×{overhead_q3:.3}, \
+         gate ×{OVERHEAD_GATE})",
+        overhead.num_ms(),
+        overhead.den_ms()
+    );
+    assert!(
+        overhead_ratio <= OVERHEAD_GATE,
+        "single-thread engine overhead ×{overhead_ratio:.3} exceeds the ×{OVERHEAD_GATE} gate"
     );
 
     // --- speedup gate ------------------------------------------------------
-    let best_speedup = mono_rows
-        .iter()
-        .chain(&modular_rows)
-        .map(|r| r.speedup)
-        .fold(0.0, f64::max);
+    let best_speedup = rows.iter().map(|(_, p)| p.ratio()).fold(0.0, f64::max);
     if speedup_gate_armed {
         assert!(
             best_speedup >= SPEEDUP_GATE,
@@ -315,52 +303,62 @@ fn main() {
 
     // --- JSON emission ----------------------------------------------------
     let max_threads = *thread_counts.last().expect("nonempty sweep");
+    let scaling: Vec<Value> = rows
+        .iter()
+        .map(|(n, p)| {
+            let (q1, q3) = p.quartiles();
+            Value::from(
+                Object::new()
+                    .field("threads", *n)
+                    .field("wall_ms", Value::float(p.den_ms(), 2))
+                    .field("sequential_ms", Value::float(p.num_ms(), 2))
+                    .field("speedup", Value::float(p.ratio(), 2))
+                    .field("speedup_q1", Value::float(q1, 2))
+                    .field("speedup_q3", Value::float(q3, 2)),
+            )
+        })
+        .collect();
     let report = bench_report(
         7,
-        "Concurrent shared-manager kernel vs the sequential single-owner kernel. mono: one \
-         interleaved-pair instance (Theta(2^m) BDD) compiled and swept by par_bdd_bu_report \
-         on 1/2/4/8-thread teams, fresh shared manager per run, vs one-shot sequential \
-         bdd_bu. modular: a DAG of independent defense modules analyzed by engines with \
-         set_kernel_threads(n), module compilations dispatched to the thread team before \
-         the sequential join, engine reset before every run. Fronts, BDD sizes, and front \
-         widths asserted identical to the sequential path at every thread count before \
-         timing; the concurrently built BDD is evaluated against the frozen control on \
-         sampled assignments; quiescent manager invariants checked after the parallel \
-         build.",
+        "Module-level parallelism vs the sequential engine. modular: a DAG of independent \
+         defense modules (interleaved-pair blocks, Theta(2^m) BDD each) analyzed by engines \
+         with set_kernel_threads(n), the module misses fanned out over n threads with a \
+         private single-owner manager each before the sequential join, every engine reset \
+         before every run. overhead: one monolithic interleaved-pair instance through the \
+         engine at kernel_threads = 1 vs one-shot bdd_bu_report. Every ratio is the median \
+         of per-pair ratios over alternated (baseline, candidate) pairs, the first run of a \
+         pair flipping every pair, after one warm-up pair; wall_ms and sequential_ms are \
+         the medians of each side's runs. Fronts, BDD sizes and front widths asserted \
+         identical to the sequential path at every thread count before timing.",
         max_threads,
     )
     .field("quick_mode", quick)
+    .field("pairs", PAIRS)
     .field(
         "workloads",
-        vec![
-            Value::from(
-                Object::new()
-                    .field("workload", "mono_intra_query")
-                    .field("interleaved_m", mono_m)
-                    .field("bdd_nodes", mono_reference.bdd_nodes)
-                    .field("sequential_ms", Value::float(ms(seq_mono), 2))
-                    .field("scaling", scaling_rows(&mono_rows)),
-            ),
-            Value::from(
-                Object::new()
-                    .field("workload", "modular_defense_modules")
-                    .field("modules", mod_k)
-                    .field("interleaved_m", mod_m)
-                    .field("sequential_ms", Value::float(ms(seq_modular), 2))
-                    .field("scaling", scaling_rows(&modular_rows)),
-            ),
-        ],
+        vec![Value::from(
+            Object::new()
+                .field("workload", "modular_defense_modules")
+                .field("modules", mod_k)
+                .field("interleaved_m", mod_m)
+                .field("scaling", scaling),
+        )],
     )
     .field(
         "single_thread_overhead",
         Object::new()
-            .field("engine_kernel_threads_1_ratio", Value::float(overhead, 3))
-            .field("gate", Value::float(OVERHEAD_GATE, 2))
-            .field("within_gate", overhead <= OVERHEAD_GATE)
+            .field("interleaved_m", mono_m)
+            .field("bdd_nodes", mono_reference.bdd_nodes)
+            .field("one_shot_ms", Value::float(overhead.den_ms(), 2))
+            .field("engine_ms", Value::float(overhead.num_ms(), 2))
             .field(
-                "one_thread_shared_team_ratio",
-                Value::float(sharding_tax, 3),
-            ),
+                "engine_kernel_threads_1_ratio",
+                Value::float(overhead_ratio, 3),
+            )
+            .field("ratio_q1", Value::float(overhead_q1, 3))
+            .field("ratio_q3", Value::float(overhead_q3, 3))
+            .field("gate", Value::float(OVERHEAD_GATE, 2))
+            .field("within_gate", overhead_ratio <= OVERHEAD_GATE),
     )
     .field(
         "summary",

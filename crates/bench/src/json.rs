@@ -165,9 +165,9 @@ pub fn bench_report(pr: u32, description: &str, kernel_threads: usize) -> Object
 
 /// The honest parallelism note of the multi-worker reports, covering both
 /// axes — `workers` engines *across* instances and `kernel_threads`
-/// threads *within* each query's shared BDD kernel. On a single-core host
-/// every multi-threaded number measures overhead, not speedup — one shared
-/// sentence so every report says it the same way.
+/// threads *within* each modular query, over its independent modules. On
+/// a single-core host every multi-threaded number measures overhead, not
+/// speedup — one shared sentence so every report says it the same way.
 pub fn parallelism_note(workers: usize, kernel_threads: usize) -> String {
     let cores = default_jobs();
     if cores == 1 {
@@ -176,14 +176,15 @@ pub fn parallelism_note(workers: usize, kernel_threads: usize) -> String {
              pool numbers and any {kernel_threads}-thread kernel numbers measure \
              synchronization overhead, not parallel speedup. On an N-core host the \
              embarrassingly parallel suites scale across instances with min(N, suite size) \
-             workers, and the shared-manager kernel additionally scales within one query \
-             with up to kernel_threads threads; the differential tests assert result \
-             equality at every worker count and every kernel thread count."
+             workers, and a modular query additionally fans its independent modules out \
+             over up to kernel_threads threads, each with a private manager; the \
+             differential tests assert result equality at every worker count and every \
+             kernel thread count."
         )
     } else {
         format!(
             "Measured on {cores} available cores with {workers} workers across instances \
-             and {kernel_threads} kernel threads within each query."
+             and {kernel_threads} kernel threads within each modular query."
         )
     }
 }

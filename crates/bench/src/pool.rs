@@ -514,9 +514,10 @@ impl WorkerPool {
     /// Sets the *intra-query* kernel thread count on every worker's engine
     /// (see [`AnalysisEngine::set_kernel_threads`]) — the
     /// `--kernel-threads` path of the `experiments` binary. The setting
-    /// survives [`WorkerPool::reset_engines`]. The two axes compose:
-    /// `workers × kernel_threads` threads do BDD work when both are above
-    /// one, so callers should keep the product near the core count.
+    /// survives [`WorkerPool::reset_engines`]. The two axes compose: up to
+    /// `workers × kernel_threads` threads do BDD work during modular
+    /// analyses when both are above one, so callers should keep the
+    /// product near the core count.
     pub fn set_kernel_threads(&self, threads: usize) {
         self.for_each_engine(move |engine| engine.set_kernel_threads(threads));
     }

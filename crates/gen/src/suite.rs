@@ -64,7 +64,7 @@ pub enum OrderingKind {
 ///
 /// A `SuiteJob` deliberately carries everything a worker thread needs, so a
 /// pool can hand jobs out from a shared cursor and each worker can evaluate
-/// its job on a private `BddManager` with no shared state at all.
+/// its job in a private BDD manager with no shared state at all.
 #[derive(Debug, Clone)]
 pub struct SuiteJob {
     /// The instance to evaluate.

@@ -253,11 +253,11 @@ fn section_object(family: &Family, m: &Measured) -> Object {
 fn served_latencies(base: &CostAdt, script: &[EditOp]) -> Vec<Duration> {
     let server = Server::new(ServeConfig {
         jobs: 1,
-        kernel_threads: 1,
         max_inflight: 1,
         gc_threshold: adt_analysis::DEFAULT_GC_THRESHOLD,
         max_query_bytes: DEFAULT_MAX_QUERY_BYTES,
         store: None,
+        ..ServeConfig::default()
     });
     let (local, remote) = UnixStream::pair().expect("socketpair");
     let server_thread = std::thread::spawn(move || {

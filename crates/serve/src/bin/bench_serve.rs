@@ -78,11 +78,11 @@ fn main() {
     let jobs = default_jobs();
     let cfg = ServeConfig {
         jobs,
-        kernel_threads: 1,
         max_inflight: 4 * jobs,
         gc_threshold: adt_analysis::DEFAULT_GC_THRESHOLD,
         max_query_bytes: DEFAULT_MAX_QUERY_BYTES,
         store: None,
+        ..ServeConfig::default()
     };
     let max_inflight = cfg.max_inflight;
     let server = Server::new(cfg);

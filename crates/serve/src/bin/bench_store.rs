@@ -67,11 +67,11 @@ fn restarted_round(jobs: &[SuiteJob], store: Option<&TestDir>) -> (Duration, Sui
 fn serve_latencies(store: &TestDir, queries: &[String]) -> Vec<Duration> {
     let server = Server::new(ServeConfig {
         jobs: 1,
-        kernel_threads: 1,
         max_inflight: 4,
         gc_threshold: adt_analysis::DEFAULT_GC_THRESHOLD,
         max_query_bytes: DEFAULT_MAX_QUERY_BYTES,
         store: Some(store.path().to_path_buf()),
+        ..ServeConfig::default()
     });
     let (local, remote) = UnixStream::pair().expect("socketpair");
     let server_thread = std::thread::spawn(move || {

@@ -65,15 +65,13 @@
 //!   sifting pass triggers (default 256 when `--order sift` is given;
 //!   passing the flag arms reordering even without `--order sift`).
 //! * `--kernel-threads N` — every engine (each pool worker's, or the
-//!   sequential one) compiles its BDDBU queries on an `N`-thread shared
-//!   kernel: a lock-striped unique table plus work-stealing apply within
-//!   a single query. This is the *intra-query* axis, orthogonal to
-//!   `--jobs` (which parallelizes *across* instances); the two compose as
-//!   `jobs × kernel-threads` live threads. `--kernel-threads 1` (the
-//!   default) keeps the sequential single-owner kernel. Fronts are
-//!   byte-identical at every thread count; parallel-served queries skip
-//!   dynamic reordering, so pair with `--order declaration` (the default)
-//!   when comparing BDD-size columns.
+//!   sequential one) fans the independent modules a modular analysis
+//!   (`ablation-modular`) misses in its cache out over up to `N` threads,
+//!   each compiling into a private single-owner manager. This is the
+//!   *intra-query* axis, orthogonal to `--jobs` (which parallelizes
+//!   *across* instances); the two compose as up to `jobs × kernel-threads`
+//!   live threads. `--kernel-threads 1` (the default) keeps the sequential
+//!   path. Fronts are byte-identical at every thread count.
 //! * `--store PATH` — every engine (each pool worker's, the sequential
 //!   one, and `serve`'s pool) additionally reads and writes the
 //!   persistent content-addressed store at `PATH` (created if absent): a
@@ -167,16 +165,15 @@ fn serve(flags: &Flags) {
     let jobs = flags.jobs();
     let cfg = ServeConfig {
         jobs,
-        kernel_threads: flags.kernel_threads(),
         max_inflight: flags.num("max-inflight", 2 * jobs as u64) as usize,
         gc_threshold: flags.gc_threshold(),
         max_query_bytes: DEFAULT_MAX_QUERY_BYTES,
         store: flags.path("store").map(std::path::PathBuf::from),
+        ..ServeConfig::default()
     };
     eprintln!(
-        "serving with --jobs {} --kernel-threads {} --max-inflight {}{}",
+        "serving with --jobs {} --max-inflight {}{}",
         cfg.jobs,
-        cfg.kernel_threads,
         cfg.max_inflight,
         match &cfg.store {
             Some(dir) => format!(" --store {}", dir.display()),
@@ -283,15 +280,14 @@ fn run_query<R: std::io::Read, W: std::io::Write>(reader: R, writer: W, dsl: &st
 /// line — `set <leaf> <value>`, `toggle <leaf>`, `gate <node> and|or`,
 /// `replace <node> <dsl>` — blank lines and `#` comments skipped. The
 /// session runs over an in-process socketpair against a real [`Server`]
-/// (so `--store`, `--gc-threshold`, and `--kernel-threads` behave exactly
-/// as under `serve`): fronts go to stdout, per-edit dirty-cone stats to
+/// (so `--store` and `--gc-threshold` behave exactly as under `serve`): fronts go to stdout, per-edit dirty-cone stats to
 /// stderr, and the first failing op aborts with a nonzero exit.
 fn whatif(args: &[String], flags: &Flags) {
     let pos = positionals(args);
     let [tree_path, script_source] = pos.as_slice() else {
         eprintln!(
             "usage: experiments whatif <TREE.dsl> <SCRIPT|-> \
-             [--store PATH] [--gc-threshold N] [--kernel-threads N]"
+             [--store PATH] [--gc-threshold N]"
         );
         std::process::exit(2);
     };
@@ -314,11 +310,11 @@ fn whatif(args: &[String], flags: &Flags) {
     // all the interleaved queries of a what-if session can ever need.
     let cfg = ServeConfig {
         jobs: 1,
-        kernel_threads: flags.kernel_threads(),
         max_inflight: 1,
         gc_threshold: flags.gc_threshold(),
         max_query_bytes: DEFAULT_MAX_QUERY_BYTES,
         store: flags.path("store").map(std::path::PathBuf::from),
+        ..ServeConfig::default()
     };
     let server = Server::new(cfg);
     let (client_end, server_end) =
@@ -600,12 +596,11 @@ impl Flags {
         self.num("jobs", default_jobs() as u64) as usize
     }
 
-    /// The `--kernel-threads` intra-query thread count every engine is
-    /// armed with (default 1: the sequential single-owner kernel). Values
-    /// above 1 switch each engine's BDDBU misses onto the shared
-    /// lock-striped kernel with a work-stealing thread team; fronts are
-    /// identical at any value, so this is a throughput knob, never a
-    /// semantics one.
+    /// The `--kernel-threads` intra-query thread count every suite engine
+    /// is armed with (default 1: the sequential path). Values above 1 fan
+    /// each modular analysis's missed modules out over that many threads,
+    /// each with a private manager; fronts are identical at any value, so
+    /// this is a throughput knob, never a semantics one.
     fn kernel_threads(&self) -> usize {
         self.num("kernel-threads", 1).max(1) as usize
     }

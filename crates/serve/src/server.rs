@@ -61,8 +61,12 @@ use crate::session::{
 pub struct ServeConfig {
     /// Pool workers (`--jobs`): concurrent queries in execution.
     pub jobs: usize,
-    /// Kernel threads per worker engine (`--kernel-threads`): intra-query
-    /// parallelism of the shared-manager kernel.
+    /// Ignored. The setting reaches only the modular analysis (see
+    /// `AnalysisEngine::set_kernel_threads`), which no serving verb runs,
+    /// so the server arms no engine with it. The field stays only because
+    /// the standing serving benchmark (`servebench/`) builds a
+    /// `ServeConfig` literal that names it; removing it waits for the next
+    /// change to that benchmark.
     pub kernel_threads: usize,
     /// Admission bound (`--max-inflight`): queued + executing requests
     /// above this answer `B` (busy) instead of being admitted.
@@ -112,7 +116,6 @@ impl Server {
     /// so.
     pub fn new(cfg: ServeConfig) -> Self {
         let pool = WorkerPool::new(cfg.jobs.max(1), cfg.gc_threshold);
-        pool.set_kernel_threads(cfg.kernel_threads.max(1));
         if let Some(dir) = &cfg.store {
             pool.open_store(dir)
                 .unwrap_or_else(|e| panic!("--store {}: {e}", dir.display()));
@@ -343,7 +346,6 @@ fn apply_wire_edit(
             }
             None => {
                 let mut engine = AnalysisEngine::with_gc_threshold(cfg.gc_threshold);
-                engine.set_kernel_threads(cfg.kernel_threads.max(1));
                 if let Some(dir) = &cfg.store {
                     engine
                         .open_store(dir)
